@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"sqo"
+	"sqo/internal/core"
 	"sqo/internal/datagen"
+	"sqo/internal/index"
 )
 
 // uncachedAllocBudget bounds allocs/op for one full uncached optimization of
@@ -38,7 +40,7 @@ func TestCachedOptimizeZeroAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; the non-race CI job runs this")
 	}
 	eng, err := sqo.NewEngine(datagen.Schema(),
-		sqo.WithCatalog(datagen.Constraints()), sqo.WithResultCache(64))
+		sqo.WithCatalog(datagen.Constraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestUncachedOptimizeAllocBudget(t *testing.T) {
 	cat := datagen.Constraints()
 	q := figure23Query()
 
-	opt := sqo.NewOptimizer(sch, sqo.CatalogSource{Catalog: cat}, sqo.Options{})
+	opt := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, sqo.Options{})
 	if _, err := opt.Optimize(q); err != nil {
 		t.Fatal(err) // warm the scratch pool
 	}
@@ -99,11 +101,11 @@ func TestUncachedOptimizeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStringSpaceFallbackStillWorks: the interning ablation path (symbol
-// space off) keeps producing identical output — scratch reuse covers both
-// paths, so its allocation count is also bounded; what interning removes at
-// this catalog size is per-query string hashing, which the benchmarks and
-// `sqobench -exp interning` measure.
+// TestStringSpaceFallbackStillWorks: the string-space path core runs for a
+// source that exposes no symbol space keeps producing identical output —
+// scratch reuse covers both paths, so its allocation count is also bounded;
+// what interning removes at this catalog size is per-query string hashing,
+// which `sqobench -exp interning` measures.
 func TestStringSpaceFallbackStillWorks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI job runs this")
@@ -112,8 +114,8 @@ func TestStringSpaceFallbackStillWorks(t *testing.T) {
 	cat := datagen.Constraints()
 	q := figure23Query()
 
-	interned := sqo.NewOptimizer(sch, sqo.CatalogSource{Catalog: cat}, sqo.Options{})
-	fallback := sqo.NewOptimizer(sch, sqo.CatalogSource{Catalog: cat}, sqo.Options{DisableInterning: true})
+	interned := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, sqo.Options{})
+	fallback := core.NewOptimizer(sch, index.Scan{Catalog: cat}, sqo.Options{})
 	ri, err := interned.Optimize(q)
 	if err != nil {
 		t.Fatal(err)

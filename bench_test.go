@@ -13,17 +13,18 @@ import (
 
 	"sqo"
 	"sqo/internal/bench"
+	"sqo/internal/core"
 	"sqo/internal/datagen"
 	"sqo/internal/index"
 )
 
 // quickFigure23 is the optimizer invocation benchmarked throughout; the
 // query is the shared Figure 2.3 literal (figure23Query, allocs_test.go).
-func quickFigure23(b *testing.B) (*sqo.Optimizer, *sqo.Query) {
+func quickFigure23(b *testing.B) (*core.Optimizer, *sqo.Query) {
 	b.Helper()
 	sch := datagen.Schema()
 	cat := datagen.Constraints()
-	opt := sqo.NewOptimizer(sch, sqo.CatalogSource{Catalog: cat}, sqo.Options{})
+	opt := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, core.Options{})
 	return opt, figure23Query()
 }
 
@@ -41,9 +42,8 @@ func BenchmarkOptimize(b *testing.B) {
 
 // BenchmarkOptimizeAllocs tracks the allocation profile of the serving hot
 // path on the paper's 17-rule world (the CI bench gate fails on allocs/op
-// regressions): a cache-hit Engine.Optimize must stay at 0 allocs/op, the
-// uncached path within its fixed budget, and the interning ablation shows
-// what the string-space fallback costs.
+// regressions): a cache-hit Engine.Optimize must stay at 0 allocs/op and the
+// uncached path within its fixed budget.
 func BenchmarkOptimizeAllocs(b *testing.B) {
 	sch := datagen.Schema()
 	cat := datagen.Constraints()
@@ -51,7 +51,7 @@ func BenchmarkOptimizeAllocs(b *testing.B) {
 	q := figure23Query()
 
 	b.Run("cached", func(b *testing.B) {
-		eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithResultCache(64))
+		eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,19 +68,6 @@ func BenchmarkOptimizeAllocs(b *testing.B) {
 	})
 	b.Run("uncached", func(b *testing.B) {
 		eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Optimize(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("uncached-nointern", func(b *testing.B) {
-		eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithSymbolInterning(false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,8 +220,8 @@ func BenchmarkBudget(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			sch := datagen.Schema()
 			cat := datagen.Constraints()
-			opt := sqo.NewOptimizer(sch, sqo.CatalogSource{Catalog: cat},
-				sqo.Options{Budget: budget, UsePriorities: true})
+			opt := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat},
+				core.Options{Budget: budget, UsePriorities: true})
 			q := figure23Query()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -300,7 +287,7 @@ func BenchmarkExecuteEndToEnd(b *testing.B) {
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(sqo.NewCostModel(db.Schema(), db.Analyze(), sqo.DefaultWeights)),
 		sqo.WithDatabase(db),
-		sqo.WithResultCache(128))
+		sqo.WithCache(sqo.CacheConfig{Capacity: 128}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,29 +372,30 @@ func BenchmarkIndexLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeLargeCatalog measures full semantic optimization through
-// the engine at catalog sizes 10²/10³/10⁴, with the inverted index (the
-// default) against the scan baseline in the same run. The CI bench gate
-// tracks these; the acceptance bar is source=index beating source=scan by
-// ≥5x at 1e4 (see TestIndexSublinearSpeedup).
+// BenchmarkOptimizeLargeCatalog measures full semantic optimization at
+// catalog sizes 10²/10³/10⁴: the engine's inverted index against a core
+// optimizer scanning the catalog, in the same run. The CI bench gate tracks
+// these; the acceptance bar is source=index beating source=scan by ≥5x at
+// 1e4 (see TestIndexSublinearSpeedup).
 func BenchmarkOptimizeLargeCatalog(b *testing.B) {
 	ctx := context.Background()
 	for _, scale := range catalogScales {
 		w := scaledWorld(b, scale.n)
+		e, err := sqo.NewEngine(w.sch, sqo.WithCatalog(w.cat))
+		if err != nil {
+			b.Fatal(err)
+		}
+		scan := core.NewOptimizer(w.sch, core.CatalogSource{Catalog: w.cat}, core.Options{})
 		for _, impl := range []struct {
-			name string
-			opts []sqo.EngineOption
+			name     string
+			optimize func(*sqo.Query) error
 		}{
-			{"index", nil},
-			{"scan", []sqo.EngineOption{sqo.WithConstraintIndex(false)}},
+			{"index", func(q *sqo.Query) error { _, err := e.Optimize(ctx, q); return err }},
+			{"scan", func(q *sqo.Query) error { _, err := scan.Optimize(q); return err }},
 		} {
-			e, err := sqo.NewEngine(w.sch, append([]sqo.EngineOption{sqo.WithCatalog(w.cat)}, impl.opts...)...)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.Run("catalog="+scale.name+"/source="+impl.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := e.Optimize(ctx, w.queries[i%len(w.queries)]); err != nil {
+					if err := impl.optimize(w.queries[i%len(w.queries)]); err != nil {
 						b.Fatal(err)
 					}
 				}

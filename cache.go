@@ -19,8 +19,8 @@ type cacheKey struct {
 
 // cacheKeyFor builds the cache key of q under one engine state: the
 // generation's interned symbol space resolves predicates, attributes and
-// classes to dense IDs before hashing (nil symbol space — custom source or
-// interning disabled — falls back to content hashing).
+// classes to dense IDs before hashing (symbols it has not interned hash as
+// content).
 func cacheKeyFor(st *engineState, q *Query) cacheKey {
 	return cacheKey{epoch: st.epoch, fp: fingerprintWith(q, st.syms)}
 }

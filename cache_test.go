@@ -194,7 +194,7 @@ func TestEngineEpochBumpUnderTraffic(t *testing.T) {
 			[]Predicate{Eq("vehicle", "desc", StringValue("refrigerated truck"))},
 			[]string{"collects"},
 			Eq("cargo", "desc", StringValue("frozen food"))))
-	eng, err := NewEngine(sch, WithCatalog(cat), WithResultCache(16))
+	eng, err := NewEngine(sch, WithCatalog(cat), WithCache(CacheConfig{Capacity: 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +230,8 @@ func TestEngineEpochBumpUnderTraffic(t *testing.T) {
 	if st.Optimizations != 800 {
 		t.Fatalf("optimizations = %d, want 800", st.Optimizations)
 	}
-	if st.CacheHits+st.CacheMisses < st.Optimizations {
+	if st.Cache.Hits()+st.Cache.Misses < st.Optimizations {
 		t.Fatalf("cache accounting lost traffic: hits=%d misses=%d opts=%d",
-			st.CacheHits, st.CacheMisses, st.Optimizations)
+			st.Cache.Hits(), st.Cache.Misses, st.Optimizations)
 	}
 }

@@ -180,7 +180,6 @@ func runEngine(queries int, seed int64, passes int) (string, error) {
 		opts := []sqo.EngineOption{
 			sqo.WithCatalog(cat),
 			sqo.WithCostModel(model),
-			sqo.WithGrouping(sqo.GroupLeastAccessed),
 		}
 		if cache > 0 {
 			opts = append(opts, sqo.WithCache(sqo.CacheConfig{Capacity: cache}))
@@ -225,8 +224,8 @@ func runEngine(queries int, seed int64, passes int) (string, error) {
 		}
 		total := time.Since(start)
 		label := mode.name
-		if st := e.Stats(); st.CacheHits > 0 {
-			label = fmt.Sprintf("%s (%d hits)", mode.name, st.CacheHits)
+		if hits := e.Stats().Cache.Hits(); hits > 0 {
+			label = fmt.Sprintf("%s (%d hits)", mode.name, hits)
 		}
 		fmt.Fprintf(&sb, "%-28s%14v%14v\n",
 			label, total.Round(time.Microsecond),

@@ -17,24 +17,23 @@
 //	GET  /healthz
 //	GET  /stats
 //
-// /catalog/update applies an incremental delta (Engine.UpdateCatalog): with
-// the default retrieval stack and -closure=false it patches the generation
-// in O(|delta|) and invalidates only the cached results the delta touches;
-// with -closure (the default) it falls back to a full rebuild, like a swap.
+// The engine serves the declared catalog through the inverted constraint
+// index over its interned symbol space. /catalog/update applies an
+// incremental delta (Engine.UpdateCatalog): it patches the generation in
+// O(|delta|) and invalidates only the cached results the delta touches.
 //
 // With -snapshot-dir the catalog is persistent: the daemon boots warm from
 // the directory's snapshot + delta journal when they are sound (cold-building
 // from -constraints otherwise), journals every /catalog/update, re-baselines
 // on /catalog/swap, and folds the journal into a fresh snapshot on drain.
-// Requires -closure=false and -retrieval index (the snapshot captures the
-// default retrieval stack). See docs/OPERATIONS.md for the runbook.
+// See docs/OPERATIONS.md for the runbook.
 //
 // Usage:
 //
 //	sqod                               # logistics world on :7411
 //	sqod -addr :9000 -batch-window 5ms -cache 8192
 //	sqod -schema world.txt -constraints rules.txt -db ""
-//	sqod -closure=false -snapshot-dir /var/lib/sqod
+//	sqod -snapshot-dir /var/lib/sqod
 package main
 
 import (
@@ -65,14 +64,12 @@ var (
 	cacheCanon  = flag.Bool("cache-canon", false, "key the result cache by canonical query form (near-duplicates collapse onto one entry)")
 	cacheSub    = flag.Bool("cache-subsume", false, "answer contained queries from cached generalizations (implies -cache-canon; degrades to canonical-only under a statistics cost model)")
 	workers     = flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
-	closure     = flag.Bool("closure", true, "materialize the constraint closure at startup and on swap")
-	retrieval   = flag.String("retrieval", "index", "constraint retrieval strategy: index (inverted constraint index), grouping (class-attached groups), scan (linear catalog scan)")
 	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window (0 disables coalescing)")
 	batchLimit  = flag.Int("batch-limit", 0, "max coalesced requests per dispatch (0 = auto: max(4, 2x workers))")
 	reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "default per-request deadline")
 	maxTimeout  = flag.Duration("max-timeout", time.Minute, "cap on client-supplied timeout_ms")
 	drain       = flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
-	snapshotDir = flag.String("snapshot-dir", "", "directory for the catalog snapshot + delta journal (enables warm restart; requires -closure=false and -retrieval index)")
+	snapshotDir = flag.String("snapshot-dir", "", "directory for the catalog snapshot + delta journal (enables warm restart)")
 
 	maxConcurrent = flag.Int("max-concurrent", 0, "admission limit on concurrent data-plane requests (0 = 16)")
 	maxQueue      = flag.Int("max-queue", 0, "admission queue depth behind the concurrency limit (0 = 4x max-concurrent)")
@@ -228,12 +225,6 @@ func buildEngine(logger *slog.Logger) (*sqo.Engine, *sqo.SnapshotStore, string, 
 		eng, err := sqo.NewEngine(sch, append(opts, sqo.WithCatalog(cat))...)
 		return eng, nil, "", err
 	}
-	if *closure {
-		return nil, nil, "", errors.New("-snapshot-dir requires -closure=false (snapshots capture the default retrieval stack)")
-	}
-	if *retrieval != "index" {
-		return nil, nil, "", fmt.Errorf("-snapshot-dir requires -retrieval index, not %q", *retrieval)
-	}
 	store, err := sqo.OpenSnapshotStore(*snapshotDir)
 	if err != nil {
 		return nil, nil, "", err
@@ -288,20 +279,6 @@ func buildWorld() (*sqo.Schema, *sqo.Catalog, []sqo.EngineOption, error) {
 		}),
 		sqo.WithWorkers(*workers),
 		sqo.WithDefaultDeadline(*maxTimeout),
-	}
-	if *closure {
-		opts = append(opts, sqo.WithClosure(sqo.ClosureOptions{}))
-	}
-	switch *retrieval {
-	case "index":
-		// The engine default; stated for clarity.
-		opts = append(opts, sqo.WithConstraintIndex(true))
-	case "grouping":
-		opts = append(opts, sqo.WithGrouping(sqo.GroupLeastAccessed))
-	case "scan":
-		opts = append(opts, sqo.WithConstraintIndex(false))
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown -retrieval %q (want index, grouping or scan)", *retrieval)
 	}
 	if *dbName != "" {
 		if *schemaFile != "" {

@@ -156,8 +156,7 @@ func run() error {
 			if *optimize {
 				eng, err := sqo.NewEngine(sch,
 					sqo.WithCatalog(sqo.LogisticsConstraints()),
-					sqo.WithCostModel(sqo.NewCostModel(sch, db.Analyze(), sqo.DefaultWeights)),
-					sqo.WithGrouping(sqo.GroupLeastAccessed))
+					sqo.WithCostModel(sqo.NewCostModel(sch, db.Analyze(), sqo.DefaultWeights)))
 				if err != nil {
 					return err
 				}

@@ -9,8 +9,8 @@
 // /catalog/update deltas at a configured rate (-mutate), and prints
 // p50/p95/p99 per traffic kind plus a machine-readable JSON summary. Under
 // -mutate, update latency is reported as its own traffic kind, and the
-// summary carries the post-mutation cache hit-rate — run sqod with
-// -closure=false to exercise the engine's incremental path end to end.
+// summary carries the post-mutation cache hit-rate — the engine's
+// incremental catalog path exercised end to end.
 //
 // Usage:
 //
@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -811,16 +812,18 @@ func summarize(samples []sample, elapsed time.Duration) summary {
 	return sum
 }
 
-// percentile returns the exact nearest-rank percentile of sorted latencies.
+// percentile returns the exact nearest-rank percentile of sorted latencies:
+// the smallest sample with at least a q fraction of all samples at or below
+// it, which is the one at 1-based rank ⌈q·n⌉.
 func percentile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	idx := int(q * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	// The epsilon absorbs binary rounding of q·n (0.07·100 evaluates to
+	// 7.000000000000001), which would otherwise push an integral rank up one.
+	rank := int(math.Ceil(q*float64(n) - 1e-9))
+	return sorted[min(max(rank, 1), n)-1]
 }
 
 func printHuman(sum summary) {

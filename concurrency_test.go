@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sqo"
+	"sqo/internal/core"
 )
 
 // TestConcurrentOptimize: one Optimizer (with a CatalogSource and a shared
@@ -18,7 +19,7 @@ func TestConcurrentOptimize(t *testing.T) {
 	}
 	cat := sqo.LogisticsConstraints()
 	model := sqo.NewCostModel(db.Schema(), db.Analyze(), sqo.DefaultWeights)
-	opt := sqo.NewOptimizer(db.Schema(), sqo.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
+	opt := core.NewOptimizer(db.Schema(), core.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
 	gen := sqo.NewWorkloadGenerator(db, cat, sqo.WorkloadOptions{Seed: 13})
 	queries, err := gen.Workload(8)
 	if err != nil {

@@ -25,7 +25,7 @@ func BenchmarkCatalogUpdate(b *testing.B) {
 		}
 		for _, ds := range []int{1, 10, 100} {
 			b.Run(fmt.Sprintf("catalog=%d/delta=%d", n, ds), func(b *testing.B) {
-				eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithResultCache(1024))
+				eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithCache(sqo.CacheConfig{Capacity: 1024}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,7 +70,7 @@ func BenchmarkCatalogSwap(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("catalog=%d", n), func(b *testing.B) {
-			eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithResultCache(1024))
+			eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithCache(sqo.CacheConfig{Capacity: 1024}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestCatalogUpdateSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithResultCache(1024))
+	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithCache(sqo.CacheConfig{Capacity: 1024}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCatalogUpdateZeroAllocSurvivors(t *testing.T) {
 		t.Skip("race instrumentation allocates; the non-race CI job runs this")
 	}
 	eng, err := sqo.NewEngine(datagen.Schema(),
-		sqo.WithCatalog(datagen.Constraints()), sqo.WithResultCache(64))
+		sqo.WithCatalog(datagen.Constraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCatalogUpdateZeroAllocSurvivors(t *testing.T) {
 		}
 	})
 	after := eng.Stats()
-	if after.CacheHits <= before.CacheHits {
+	if after.Cache.Hits() <= before.Cache.Hits() {
 		t.Fatal("post-mutation hit-rate is zero: surviving entry did not serve")
 	}
 	if allocs != 0 {

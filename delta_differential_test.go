@@ -84,7 +84,7 @@ func runDeltaDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sqo.
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(startCat), sqo.WithResultCache(64))
+	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(startCat), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func mustEngine(t testing.TB, opts ...sqo.EngineOption) *sqo.Engine {
 // declared catalog matches what a from-scratch application of the same ops
 // would declare.
 func TestUpdateCatalogBasic(t *testing.T) {
-	eng := mustEngine(t, sqo.WithResultCache(64))
+	eng := mustEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	ctx := context.Background()
 	base := eng.Stats().Constraints
 
@@ -118,7 +118,7 @@ func TestUpdateCatalogBasic(t *testing.T) {
 // TestUpdateCatalogErrors: invalid deltas must leave the serving generation
 // completely untouched — same epoch, same catalog, cache still hitting.
 func TestUpdateCatalogErrors(t *testing.T) {
-	eng := mustEngine(t, sqo.WithResultCache(64))
+	eng := mustEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	ctx := context.Background()
 	q := figure23Query()
 	if _, err := eng.Optimize(ctx, q); err != nil {
@@ -147,11 +147,11 @@ func TestUpdateCatalogErrors(t *testing.T) {
 			t.Fatalf("case %d: failed update disturbed the engine: %+v", i, after)
 		}
 	}
-	hitsBefore := eng.Stats().CacheHits
+	hitsBefore := eng.Stats().Cache.Hits()
 	if _, err := eng.Optimize(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().CacheHits != hitsBefore+1 {
+	if eng.Stats().Cache.Hits() != hitsBefore+1 {
 		t.Fatal("cache entry lost across failed updates")
 	}
 }
@@ -162,7 +162,7 @@ func TestUpdateCatalogErrors(t *testing.T) {
 // surviving entry never serves a result that depended on a removed
 // constraint.
 func TestUpdateCatalogSurgicalInvalidation(t *testing.T) {
-	eng := mustEngine(t, sqo.WithResultCache(64))
+	eng := mustEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	ctx := context.Background()
 
 	// qVehicle depends on vehicle rules (c2/c3 among them); qDriver only on
@@ -196,13 +196,13 @@ func TestUpdateCatalogSurgicalInvalidation(t *testing.T) {
 	if _, err := eng.Optimize(ctx, qDriver); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().CacheHits != st.CacheHits+1 {
+	if eng.Stats().Cache.Hits() != st.Cache.Hits()+1 {
 		t.Fatal("entry untouched by the delta did not survive the update")
 	}
 	if _, err := eng.Optimize(ctx, qVehicle); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().CacheMisses != st.CacheMisses+1 {
+	if eng.Stats().Cache.Misses != st.Cache.Misses+1 {
 		t.Fatal("entry depending on the removed constraint was served from cache")
 	}
 	// And the recomputed result must match a fresh engine over the reduced
@@ -236,7 +236,7 @@ func TestUpdateCatalogSurgicalInvalidation(t *testing.T) {
 	if _, err := eng.Optimize(ctx, qDriver); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().CacheMisses != st.CacheMisses+1 {
+	if eng.Stats().Cache.Misses != st.Cache.Misses+1 {
 		t.Fatal("entry whose query the added constraint is relevant to was served stale")
 	}
 }
@@ -247,7 +247,7 @@ func TestUpdateCatalogSurgicalInvalidation(t *testing.T) {
 // basis, so the entry must be purged rather than re-stamped into an
 // unreachable zombie — and the query must re-cache cleanly afterwards.
 func TestUpdateCatalogFingerprintShift(t *testing.T) {
-	eng := mustEngine(t, sqo.WithResultCache(64))
+	eng := mustEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	ctx := context.Background()
 	// driver.licenseClass >= 9 appears in no logistics constraint: content-hashed.
 	q := sqo.NewQuery("driver").
@@ -274,88 +274,41 @@ func TestUpdateCatalogFingerprintShift(t *testing.T) {
 	if _, err := eng.Optimize(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().CacheMisses != st.CacheMisses+1 {
+	if eng.Stats().Cache.Misses != st.Cache.Misses+1 {
 		t.Fatal("shifted entry was served (or an unreachable zombie hid the miss)")
 	}
 	st = eng.Stats()
 	if _, err := eng.Optimize(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().CacheHits != st.CacheHits+1 {
+	if eng.Stats().Cache.Hits() != st.Cache.Hits()+1 {
 		t.Fatal("query did not re-cache under the new fingerprint basis")
 	}
-	if eng.Stats().CacheSize != 1 {
-		t.Fatalf("cache holds %d entries, want 1 (no zombie)", eng.Stats().CacheSize)
+	if eng.Stats().Cache.Size != 1 {
+		t.Fatalf("cache holds %d entries, want 1 (no zombie)", eng.Stats().Cache.Size)
 	}
 }
 
-// TestUpdateCatalogFallback: configurations outside the default retrieval
-// stack (closure, grouping, scan, string-space) still honor UpdateCatalog
-// semantics through the full-rebuild fallback.
+// TestUpdateCatalogFallback: a semantic no-op delta (key-duplicate re-adds
+// only) falls back to nothing — no rebuild, no epoch bump, cache untouched.
 func TestUpdateCatalogFallback(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []sqo.EngineOption
-	}{
-		{"closure", []sqo.EngineOption{sqo.WithClosure(sqo.ClosureOptions{})}},
-		{"grouping", []sqo.EngineOption{sqo.WithGrouping(sqo.GroupLeastAccessed)}},
-		{"scan", []sqo.EngineOption{sqo.WithConstraintIndex(false)}},
-		{"nointern", []sqo.EngineOption{sqo.WithSymbolInterning(false)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := mustEngine(t, append(tc.opts, sqo.WithResultCache(16))...)
-			base := eng.Stats().Constraints
-			r := freshRule(t)
-			rep, err := eng.UpdateCatalog(sqo.NewCatalogDelta().AddConstraints(r))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Incremental {
-				t.Fatal("non-default configuration took the incremental path")
-			}
-			if got := eng.Stats().Constraints; got < base+1 {
-				t.Fatalf("constraints = %d, want >= %d", got, base+1)
-			}
-			if rep.CacheSurvived != 0 {
-				t.Fatal("fallback rebuild must purge the whole cache")
-			}
-			if _, err := eng.UpdateCatalog(sqo.NewCatalogDelta().RemoveConstraints(r.ID)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-
-	// A semantic no-op delta (key-duplicate re-adds only) on a fallback
-	// engine must not rebuild, bump the epoch, or purge the cache.
 	t.Run("noop", func(t *testing.T) {
-		eng := mustEngine(t, sqo.WithClosure(sqo.ClosureOptions{}), sqo.WithResultCache(16))
+		eng := mustEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 16}))
 		if _, err := eng.Optimize(context.Background(), figure23Query()); err != nil {
 			t.Fatal(err)
 		}
 		before := eng.Stats()
-		dup := sqo.NewConstraint("c1dup", // same key as the catalog's c1
-			datagen.Constraints().Get("c1").Antecedents,
-			datagen.Constraints().Get("c1").Links,
-			datagen.Constraints().Get("c1").Consequent)
+		c1 := datagen.Constraints().Get("c1")
+		dup := sqo.NewConstraint("c1dup", c1.Antecedents, c1.Links, c1.Consequent) // same key as c1
 		rep, err := eng.UpdateCatalog(sqo.NewCatalogDelta().AddConstraints(dup))
 		if err != nil {
 			t.Fatal(err)
 		}
 		after := eng.Stats()
-		if rep.Added != 0 || after.Epoch != before.Epoch || after.CacheSize != before.CacheSize {
-			t.Fatalf("no-op delta disturbed the fallback engine: report %+v, stats %+v", rep, after)
+		if rep.Added != 0 || rep.CachePurged != 0 || after.Epoch != before.Epoch || after.Cache != before.Cache {
+			t.Fatalf("no-op delta disturbed the engine: report %+v, cache %+v -> %+v", rep, before.Cache, after.Cache)
 		}
 	})
-
-	// A constraint-source engine cannot mutate at all.
-	src := sqo.CatalogSource{Catalog: datagen.Constraints()}
-	eng, err := sqo.NewEngine(datagen.Schema(), sqo.WithConstraintSource(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.UpdateCatalog(sqo.NewCatalogDelta().RemoveConstraints("c1")); err == nil {
-		t.Fatal("UpdateCatalog on a WithConstraintSource engine must fail")
-	}
 }
 
 // TestDiffCatalogs: the re-derivation bridge — the computed delta must turn
@@ -407,29 +360,38 @@ func TestDiffCatalogs(t *testing.T) {
 
 // TestUpdateCatalogCompaction: sustained mutation accumulates tombstones;
 // once they outnumber the live catalog the engine folds the next delta into
-// a full rebuild (dense ordinals again) and keeps going incrementally. The
-// engine must stay correct across the compaction boundary.
+// a full rebuild (dense ordinals again) and keeps going incrementally. A
+// compaction is a full rebuild, so it must purge the whole cache and bump
+// the epoch. The engine must stay correct across the compaction boundary.
 func TestUpdateCatalogCompaction(t *testing.T) {
-	eng := mustEngine(t, sqo.WithResultCache(64))
+	eng := mustEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	ctx := context.Background()
 	q := figure23Query()
 
 	sawCompaction := false
-	for i := 0; i < 80; i++ {
-		r := freshRule(t)
-		rep, err := eng.UpdateCatalog(sqo.NewCatalogDelta().AddConstraints(r))
+	apply := func(d *sqo.CatalogDelta) {
+		t.Helper()
+		epoch := eng.Stats().Epoch
+		rep, err := eng.UpdateCatalog(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Incremental {
-			sawCompaction = true
+		if rep.Incremental {
+			return
 		}
-		if rep, err = eng.UpdateCatalog(sqo.NewCatalogDelta().RemoveConstraints(r.ID)); err != nil {
+		sawCompaction = true
+		if st := eng.Stats(); rep.CacheSurvived != 0 || st.Cache.Size != 0 || rep.Epoch != epoch+1 || st.Epoch != rep.Epoch {
+			t.Fatalf("compaction must purge the whole cache and bump the epoch: report %+v, epoch %d -> %d, %d entries left",
+				rep, epoch, st.Epoch, st.Cache.Size)
+		}
+	}
+	for i := 0; i < 80; i++ {
+		r := freshRule(t)
+		apply(sqo.NewCatalogDelta().AddConstraints(r))
+		if _, err := eng.Optimize(ctx, q); err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Incremental {
-			sawCompaction = true
-		}
+		apply(sqo.NewCatalogDelta().RemoveConstraints(r.ID))
 		if _, err := eng.Optimize(ctx, q); err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +421,7 @@ func TestUpdateCatalogCompaction(t *testing.T) {
 // the catalog is mutated underneath — the incremental analogue of the
 // swap/optimize race test; run under -race it proves generation purity.
 func TestUpdateCatalogConcurrent(t *testing.T) {
-	eng := mustEngine(t, sqo.WithResultCache(256))
+	eng := mustEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 256}))
 	ctx := context.Background()
 	qs := []*sqo.Query{figure23Query(),
 		sqo.NewQuery("driver").AddProject("driver", "name").

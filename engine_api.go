@@ -22,12 +22,11 @@ import (
 )
 
 // Engine is the long-lived, concurrency-safe front door to the optimizer.
-// Where NewOptimizer gives a bare one-shot algorithm object, NewEngine wires
-// the whole serving pipeline once at construction — schema, constraint
-// catalog, optional transitive-closure materialization, optional grouped
-// retrieval, cost model — and then serves Optimize and OptimizeBatch from
-// any number of goroutines, amortizing that setup across heavy repeated
-// traffic.
+// NewEngine wires the whole serving pipeline once at construction — schema,
+// constraint catalog compiled into an interned symbol space, the inverted
+// constraint index over it, cost model — and then serves Optimize and
+// OptimizeBatch from any number of goroutines, amortizing that setup across
+// heavy repeated traffic.
 //
 // Three production concerns ride on top of the paper's algorithm:
 //
@@ -40,8 +39,9 @@ import (
 //     generalization plus a residual pass — so a near-duplicate workload
 //     pays the O(m·n) table work once per distinct canonical query.
 //   - Hot catalog swap: SwapCatalog atomically replaces the declared
-//     constraint set — rebuilding closure and groups off to the side and
-//     flipping an atomic pointer — without blocking in-flight optimizations.
+//     constraint set — rebuilding the symbol space and index off to the side
+//     and flipping an atomic pointer — without blocking in-flight
+//     optimizations.
 //
 // On a cache hit the same *Result is returned to every caller; treat results
 // as read-only. All accessor methods on Result are safe to share.
@@ -53,10 +53,10 @@ type Engine struct {
 	runner *exec.Executor // nil without WithDatabase
 
 	// subsume is true when the containment lookup is active: cache
-	// configured with CacheConfig.Subsume, engine owns its catalog, and
-	// the cost model is the query-insensitive heuristic (under a
-	// statistics model formulation depends on the whole query, so a
-	// derived result could diverge from cold optimization).
+	// configured with CacheConfig.Subsume and the cost model is the
+	// query-insensitive heuristic (under a statistics model formulation
+	// depends on the whole query, so a derived result could diverge from
+	// cold optimization).
 	subsume bool
 
 	// degrade is the serving degradation level (resilience.Level*), set by
@@ -104,20 +104,18 @@ type Engine struct {
 // engineState is everything derived from one catalog generation. It is
 // immutable after construction and replaced wholesale by SwapCatalog (full
 // rebuild) or UpdateCatalog (structural patch), so a query can never observe
-// the catalog of one generation paired with the index (or groups, closure,
-// symbol space) of another.
+// the catalog of one generation paired with the index or symbol space of
+// another.
 type engineState struct {
-	declared *Catalog         // as supplied; nil for a custom ConstraintSource or a delta generation
-	active   *Catalog         // after closure materialization; what retrieval serves
-	index    *ConstraintIndex // inverted retrieval index over active; nil when disabled
-	syms     *symtab.Table    // interned symbol space of active; nil when interning is off
-	closure  ClosureStats
-	opt      *Optimizer
+	declared *Catalog         // as supplied; nil for a delta-built or restored generation
+	index    *ConstraintIndex // inverted retrieval index over the generation
+	syms     *symtab.Table    // interned symbol space of the generation
+	opt      *core.Optimizer
 	epoch    uint64
 
-	// gen is the catalog view of a delta-built generation (declared and
-	// active are nil then; the incremental path implies no closure). The
-	// *Catalog form is materialized lazily, only when someone asks.
+	// gen is the catalog view of a delta-built or snapshot-restored
+	// generation (declared is nil then). The *Catalog form is materialized
+	// lazily, only when someone asks.
 	gen     *delta.Gen
 	catOnce sync.Once
 	lazyCat *Catalog
@@ -136,11 +134,10 @@ type engineState struct {
 func (st *engineState) mentionSet() map[predicate.AttrRef]struct{} {
 	st.mentionOnce.Do(func() {
 		var all []*Constraint
-		switch {
-		case st.active != nil:
-			all = st.active.All()
-		case st.gen != nil:
+		if st.gen != nil {
 			all = st.gen.Constraints()
+		} else {
+			all = st.declared.All()
 		}
 		m := make(map[predicate.AttrRef]struct{}, len(all)*2)
 		note := func(p predicate.Predicate) {
@@ -163,7 +160,7 @@ func (st *engineState) mentionSet() map[predicate.AttrRef]struct{} {
 // catalogView returns the generation's declared catalog, materializing it
 // on first use for delta-built generations.
 func (st *engineState) catalogView() *Catalog {
-	if st.declared != nil || st.gen == nil {
+	if st.gen == nil {
 		return st.declared
 	}
 	st.catOnce.Do(func() {
@@ -180,22 +177,17 @@ func (st *engineState) catalogView() *Catalog {
 	return st.lazyCat
 }
 
-// constraintCount returns the size of the generation's active catalog.
+// constraintCount returns the number of live constraints of the generation.
 func (st *engineState) constraintCount() int {
-	switch {
-	case st.active != nil:
-		return st.active.Len()
-	case st.gen != nil:
+	if st.gen != nil {
 		return st.gen.Live()
-	default:
-		return 0
 	}
+	return st.declared.Len()
 }
 
 // NewEngine builds an engine over the schema. Exactly one of WithCatalog and
-// WithConstraintSource must be supplied; everything else has defaults (all
-// rules, heuristic cost model, no closure, ungrouped retrieval, no cache,
-// GOMAXPROCS batch workers).
+// WithSnapshot must be supplied; everything else has defaults (all rules,
+// heuristic cost model, no cache, GOMAXPROCS batch workers).
 func NewEngine(s *Schema, opts ...EngineOption) (*Engine, error) {
 	if s == nil {
 		return nil, errors.New("sqo: NewEngine requires a schema")
@@ -208,12 +200,10 @@ func NewEngine(s *Schema, opts ...EngineOption) (*Engine, error) {
 		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 	switch {
-	case cfg.snap != nil && (cfg.catalog != nil || cfg.source != nil):
-		return nil, errors.New("sqo: WithSnapshot is mutually exclusive with WithCatalog and WithConstraintSource")
-	case cfg.catalog == nil && cfg.source == nil && cfg.snap == nil:
-		return nil, errors.New("sqo: NewEngine requires WithCatalog, WithConstraintSource or WithSnapshot")
-	case cfg.catalog != nil && cfg.source != nil:
-		return nil, errors.New("sqo: WithCatalog and WithConstraintSource are mutually exclusive")
+	case cfg.snap != nil && cfg.catalog != nil:
+		return nil, errors.New("sqo: WithSnapshot and WithCatalog are mutually exclusive")
+	case cfg.catalog == nil && cfg.snap == nil:
+		return nil, errors.New("sqo: NewEngine requires WithCatalog or WithSnapshot")
 	}
 	if cfg.cache.Subsume {
 		cfg.cache.Canonicalize = true
@@ -229,7 +219,7 @@ func NewEngine(s *Schema, opts ...EngineOption) (*Engine, error) {
 	}
 	if cfg.cache.Capacity > 0 {
 		e.cache = newResultCache(cfg.cache.Capacity)
-		if cfg.cache.Subsume && cfg.source == nil {
+		if cfg.cache.Subsume {
 			// The containment derivation replays formulation decisions;
 			// that is only sound when those decisions cannot depend on
 			// the extra conjuncts, i.e. under the query-insensitive
@@ -249,12 +239,7 @@ func NewEngine(s *Schema, opts ...EngineOption) (*Engine, error) {
 	}
 	if cfg.snap != nil {
 		// Warm restore: adopt the snapshot's compiled generation instead of
-		// building one. Snapshots capture exactly the default retrieval
-		// stack, so configurations that would serve anything else must
-		// cold-build instead.
-		if cfg.closure || cfg.grouping || cfg.noIndex || cfg.noIntern || cfg.core.DisableInterning {
-			return nil, errors.New("sqo: WithSnapshot requires the default retrieval stack (no closure or grouping, index and interning on)")
-		}
+		// building one.
 		if h := schemaHash(s); h != cfg.snap.info.SchemaHash {
 			return nil, fmt.Errorf("sqo: snapshot was compiled against schema %#016x, engine schema is %#016x", cfg.snap.info.SchemaHash, h)
 		}
@@ -278,57 +263,30 @@ func (e *Engine) effectiveCoreOpts() Options {
 	if opts.Cost == nil {
 		opts.Cost = HeuristicCost{Schema: e.schema}
 	}
-	opts.DisableInterning = opts.DisableInterning || e.cfg.noIntern
 	// Dependency sets exist to invalidate cached results surgically; with
 	// no cache they would be a wasted allocation per optimization.
 	opts.RecordDeps = opts.RecordDeps || e.cache != nil
 	return opts
 }
 
-// buildState materializes one catalog generation: validate, close, compile
-// the interned symbol space, index/group, and construct the optimizer over
-// it. The symbol space is compiled exactly once per generation and shared by
-// the index, the optimizer's transformation tables and the result cache's
-// key hashing.
+// buildState materializes one catalog generation: validate, compile the
+// interned symbol space, build the inverted index over it, and construct the
+// optimizer. The symbol space is compiled exactly once per generation and
+// shared by the index, the optimizer's transformation tables and the result
+// cache's key hashing.
 func (e *Engine) buildState(cat *Catalog, epoch uint64) (*engineState, error) {
-	coreOpts := e.effectiveCoreOpts()
-	st := &engineState{declared: cat, epoch: epoch}
-	src := e.cfg.source
-	if cat != nil {
-		if err := cat.Validate(e.schema); err != nil {
-			return nil, fmt.Errorf("sqo: catalog does not fit the schema: %w", err)
-		}
-		st.active = cat
-		if e.cfg.closure {
-			closed, _, stats, err := MaterializeClosure(cat, e.cfg.closureOpts)
-			if err != nil {
-				return nil, fmt.Errorf("sqo: closure materialization: %w", err)
-			}
-			st.active, st.closure = closed, stats
-		}
-		if !coreOpts.DisableInterning {
-			st.syms = symtab.Compile(e.schema, st.active.All())
-		}
-		switch {
-		case e.cfg.grouping:
-			src = NewGroupStore(st.active, e.cfg.policy, NewAccessStats())
-		case !e.cfg.noIndex:
-			if st.syms != nil {
-				st.index = index.BuildWith(st.active.All(), st.syms)
-			} else {
-				st.index = index.New(st.active)
-			}
-			src = st.index
-		default:
-			src = CatalogSource{Catalog: st.active}
-		}
+	if err := cat.Validate(e.schema); err != nil {
+		return nil, fmt.Errorf("sqo: catalog does not fit the schema: %w", err)
 	}
-	st.opt = core.NewOptimizerSymbols(e.schema, src, st.syms, coreOpts)
-	// Align to the optimizer's resolution (a custom ConstraintSource may
-	// supply its own symbol space) so cache keys always hash in the
-	// generation the transformation tables run in.
-	st.syms = st.opt.Symbols()
-	return st, nil
+	syms := symtab.Compile(e.schema, cat.All())
+	ix := index.BuildWith(cat.All(), syms)
+	return &engineState{
+		declared: cat,
+		index:    ix,
+		syms:     syms,
+		opt:      core.NewOptimizerSymbols(e.schema, ix, syms, e.effectiveCoreOpts()),
+		epoch:    epoch,
+	}, nil
 }
 
 // Optimize runs the semantic optimization of q against the current catalog
@@ -552,20 +510,17 @@ feed:
 }
 
 // SwapCatalog atomically replaces the engine's declared constraint catalog:
-// the transitive closure and retrieval groups are rebuilt off to the side
-// under the engine's construction-time configuration, then published with a
-// single pointer store. In-flight optimizations finish against the old
-// generation; the result cache is invalidated so no stale optimization is
-// ever served. On error the engine keeps serving the old catalog.
+// the symbol space and constraint index are rebuilt off to the side, then
+// published with a single pointer store. In-flight optimizations finish
+// against the old generation; the result cache is invalidated so no stale
+// optimization is ever served. On error the engine keeps serving the old
+// catalog.
 //
 // This is the knob for derived state rules (DeriveRules): merge them in when
 // mined, swap the declared set back in when the data shifts.
 func (e *Engine) SwapCatalog(cat *Catalog) error {
 	if cat == nil {
 		return errors.New("sqo: SwapCatalog requires a catalog")
-	}
-	if e.cfg.source != nil {
-		return errors.New("sqo: engine was built with WithConstraintSource; SwapCatalog requires WithCatalog")
 	}
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
@@ -598,35 +553,26 @@ func (e *Engine) SwapCatalog(cat *Catalog) error {
 // duplicate ID) the engine keeps serving the old generation with epoch and
 // cache untouched.
 //
-// The incremental path requires the engine's default retrieval stack —
-// interned symbols plus the constraint index, without closure
-// materialization or grouped retrieval. Engines configured otherwise fall
-// back to a full rebuild with the same delta semantics (the report says so),
-// which for a closure engine also re-materializes the closure. Engines built
-// with WithConstraintSource cannot mutate their catalog at all.
+// Once tombstones outnumber live constraints, the delta is folded into a
+// full rebuild instead (tombstone compaction; the report says so), with
+// SwapCatalog's full cache purge.
 func (e *Engine) UpdateCatalog(d *CatalogDelta) (UpdateReport, error) {
-	if e.cfg.source != nil {
-		return UpdateReport{}, errors.New("sqo: engine was built with WithConstraintSource; UpdateCatalog requires WithCatalog")
-	}
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
 	cur := e.state.Load()
 	if d.Empty() {
-		return UpdateReport{Epoch: cur.epoch, Incremental: e.incrementalOK()}, nil
-	}
-	if !e.incrementalOK() {
-		return e.rebuildWith(cur, d)
+		return UpdateReport{Epoch: cur.epoch, Incremental: true}, nil
 	}
 	if e.mut == nil {
 		// First delta of this lineage: seed the mutation-side state from
 		// the generation's catalog order (the ordinal space the symbol
 		// table and index were compiled over). A snapshot-restored engine
-		// has no compiled active catalog — its ordinal space comes from
-		// the restored generation, tombstones included.
+		// has no declared catalog — its ordinal space comes from the
+		// restored generation, tombstones included.
 		if cur.gen != nil {
 			e.mut = delta.NewStateFromGen(cur.gen)
 		} else {
-			e.mut = delta.NewState(cur.active.All())
+			e.mut = delta.NewState(cur.declared.All())
 		}
 		e.idxLin = index.NewLineage(cur.index)
 	}
@@ -674,26 +620,14 @@ func (e *Engine) UpdateCatalog(d *CatalogDelta) (UpdateReport, error) {
 	return rep, nil
 }
 
-// incrementalOK reports whether the engine's configuration supports the
-// incremental update path: the default retrieval stack (interned symbol
-// space + constraint index), no closure materialization, no grouping.
-func (e *Engine) incrementalOK() bool {
-	return !e.cfg.closure && !e.cfg.grouping && !e.cfg.noIndex &&
-		!e.cfg.noIntern && !e.cfg.core.DisableInterning
-}
-
-// rebuildWith is UpdateCatalog's fallback: apply the delta to the declared
-// catalog and rebuild the whole generation, with a full cache purge — the
-// exact SwapCatalog semantics, driven by delta ops.
+// rebuildWith is UpdateCatalog's tombstone compaction: apply the delta to
+// the declared catalog and rebuild the whole generation with a dense ordinal
+// space and a full cache purge — the exact SwapCatalog semantics, driven by
+// delta ops.
 func (e *Engine) rebuildWith(cur *engineState, d *CatalogDelta) (UpdateReport, error) {
 	newCat, plan, err := delta.Rebuild(cur.catalogView(), d.ops, e.schema)
 	if err != nil {
 		return UpdateReport{}, err
-	}
-	if plan.Empty() {
-		// Every op merged away (key-duplicate re-adds): a semantic no-op
-		// must not cost a rebuild, an epoch bump, or the cache.
-		return UpdateReport{Epoch: cur.epoch}, nil
 	}
 	st, err := e.buildState(newCat, cur.epoch+1)
 	if err != nil {
@@ -766,12 +700,11 @@ type UpdateReport struct {
 	// Epoch is the catalog generation now serving.
 	Epoch uint64
 	// Incremental is true when the generation was patched in place-by-copy;
-	// false when the engine fell back to a full rebuild (non-default
-	// retrieval configuration, or tombstone compaction).
+	// false when tombstone compaction folded the delta into a full rebuild.
 	Incremental bool
 	// CachePurged and CacheSurvived count the result-cache entries dropped
 	// by the delta and re-stamped into the new epoch. Both zero when
-	// caching is disabled; on a fallback rebuild every entry is purged.
+	// caching is disabled; a compaction rebuild purges every entry.
 	CachePurged, CacheSurvived int
 }
 
@@ -784,10 +717,9 @@ func (e *Engine) Schema() *Schema { return e.schema }
 // queues inside the engine).
 func (e *Engine) Workers() int { return e.cfg.workers }
 
-// Catalog returns the currently declared catalog (before closure), or nil
-// when the engine was built from a custom ConstraintSource. For a
-// delta-built generation (UpdateCatalog) the catalog object is materialized
-// on first call, in the generation's live order.
+// Catalog returns the currently declared catalog. For a delta-built or
+// snapshot-restored generation the catalog object is materialized on first
+// call, in the generation's live order.
 func (e *Engine) Catalog() *Catalog { return e.state.Load().catalogView() }
 
 // CacheStats is the result cache's stats surface: the three-way hit
@@ -839,38 +771,15 @@ type EngineStats struct {
 	// Cache is the result cache's stats surface, including the three-way
 	// exact / canonical / subsumption hit breakdown.
 	Cache CacheStats
-	// CacheHits / CacheMisses / CacheEvictions describe the result cache;
-	// all zero when caching is disabled.
-	//
-	// Deprecated: read Cache instead. CacheHits mirrors Cache.Hits() —
-	// all three hit kinds combined.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	// CacheSize and CacheCapacity are the current and maximum number of
-	// cached results.
-	//
-	// Deprecated: read Cache.Size and Cache.Capacity.
-	CacheSize     int
-	CacheCapacity int
 	// CatalogSwaps counts successful SwapCatalog calls; CatalogUpdates
 	// counts successful (non-empty) UpdateCatalog calls; Epoch is the
 	// current catalog generation (0 = as constructed).
 	CatalogSwaps   int64
 	CatalogUpdates int64
 	Epoch          uint64
-	// CacheUpdatePurged and CacheUpdateSurvived are cumulative counts of
-	// result-cache entries dropped by catalog updates versus re-stamped
-	// into the new epoch — the measured surgical-invalidation win.
-	//
-	// Deprecated: read Cache.UpdatePurged and Cache.UpdateSurvived.
-	CacheUpdatePurged   int64
-	CacheUpdateSurvived int64
-	// Constraints is the size of the active catalog (after closure);
-	// DerivedConstraints is how many of those closure materialization
-	// added. Both zero for a custom ConstraintSource.
-	Constraints        int
-	DerivedConstraints int
+	// Constraints is the number of live constraints in the current catalog
+	// generation.
+	Constraints int
 	// Executions counts end-to-end Execute/ExecuteRaw calls served;
 	// ExecTuplesScanned, ExecPagesScanned, ExecIndexProbes and
 	// ExecObjectFetches accumulate the physical work their meters recorded.
@@ -880,9 +789,8 @@ type EngineStats struct {
 	ExecPagesScanned  int64
 	ExecIndexProbes   int64
 	ExecObjectFetches int64
-	// ConstraintIndex describes the active inverted retrieval index;
-	// zero when the index is disabled or superseded (WithGrouping,
-	// WithConstraintSource).
+	// ConstraintIndex describes the current generation's inverted
+	// retrieval index.
 	ConstraintIndex IndexStats
 	// DegradationLevel is the serving degradation level in force (0 =
 	// full serving; see SetDegradation); PanicsRecovered counts panics the
@@ -898,27 +806,20 @@ type EngineStats struct {
 func (e *Engine) Stats() EngineStats {
 	st := e.state.Load()
 	s := EngineStats{
-		Optimizations:       e.optimizations.Load(),
-		CatalogSwaps:        e.swaps.Load(),
-		CatalogUpdates:      e.updates.Load(),
-		CacheUpdatePurged:   e.cachePurged.Load(),
-		CacheUpdateSurvived: e.cacheSurvived.Load(),
-		Epoch:               st.epoch,
-		Executions:          e.executions.Load(),
-		ExecTuplesScanned:   e.execTuples.Load(),
-		ExecPagesScanned:    e.execPages.Load(),
-		ExecIndexProbes:     e.execProbes.Load(),
-		ExecObjectFetches:   e.execFetches.Load(),
-		DegradationLevel:    int(e.degrade.Load()),
-		PanicsRecovered:     e.panicsRecovered.Load(),
-		Quarantine:          e.quar.Stats(),
-	}
-	s.Constraints = st.constraintCount()
-	if st.active != nil {
-		s.DerivedConstraints = st.closure.Derived
-	}
-	if st.index != nil {
-		s.ConstraintIndex = st.index.Stats()
+		Optimizations:     e.optimizations.Load(),
+		CatalogSwaps:      e.swaps.Load(),
+		CatalogUpdates:    e.updates.Load(),
+		Epoch:             st.epoch,
+		Constraints:       st.constraintCount(),
+		Executions:        e.executions.Load(),
+		ExecTuplesScanned: e.execTuples.Load(),
+		ExecPagesScanned:  e.execPages.Load(),
+		ExecIndexProbes:   e.execProbes.Load(),
+		ExecObjectFetches: e.execFetches.Load(),
+		ConstraintIndex:   st.index.Stats(),
+		DegradationLevel:  int(e.degrade.Load()),
+		PanicsRecovered:   e.panicsRecovered.Load(),
+		Quarantine:        e.quar.Stats(),
 	}
 	if e.cache != nil {
 		// Load the sub-counters before the totals: each hit bumps the
@@ -937,16 +838,11 @@ func (e *Engine) Stats() EngineStats {
 			ResidualPredicates: e.cache.residual.Load(),
 			Size:               e.cache.len(),
 			Capacity:           e.cache.cap,
-			UpdatePurged:       s.CacheUpdatePurged,
-			UpdateSurvived:     s.CacheUpdateSurvived,
+			UpdatePurged:       e.cachePurged.Load(),
+			UpdateSurvived:     e.cacheSurvived.Load(),
 			Canonicalize:       e.cfg.cache.Canonicalize,
 			Subsume:            e.subsume,
 		}
-		s.CacheHits = s.Cache.Hits()
-		s.CacheMisses = s.Cache.Misses
-		s.CacheEvictions = s.Cache.Evictions
-		s.CacheSize = s.Cache.Size
-		s.CacheCapacity = s.Cache.Capacity
 	}
 	return s
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqo"
+	"sqo/internal/core"
 )
 
 // engineWorld builds the shared test fixture: the DB1 logistics instance,
@@ -33,11 +34,11 @@ func engineWorld(t testing.TB, queries int) (*sqo.Database, *sqo.Catalog, *sqo.C
 // algorithm — its results must be byte-identical to a raw Optimizer's.
 func TestEngineMatchesOptimizer(t *testing.T) {
 	db, cat, model, workload := engineWorld(t, 12)
-	opt := sqo.NewOptimizer(db.Schema(), sqo.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
+	opt := core.NewOptimizer(db.Schema(), core.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithResultCache(64))
+		sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +66,7 @@ func TestEngineParallelBatch(t *testing.T) {
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithGrouping(sqo.GroupLeastAccessed),
-		sqo.WithResultCache(128),
+		sqo.WithCache(sqo.CacheConfig{Capacity: 128}),
 		sqo.WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestEngineCache(t *testing.T) {
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithResultCache(8))
+		sqo.WithCache(sqo.CacheConfig{Capacity: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +151,9 @@ func TestEngineCache(t *testing.T) {
 		t.Error("reordered repeat of the same query should be served from the cache")
 	}
 	st := eng.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 1 || st.CacheSize != 1 {
+	if st.Cache.Hits() != 1 || st.Cache.Misses != 1 || st.Cache.Size != 1 {
 		t.Errorf("stats = hits %d / misses %d / size %d, want 1/1/1",
-			st.CacheHits, st.CacheMisses, st.CacheSize)
+			st.Cache.Hits(), st.Cache.Misses, st.Cache.Size)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestEngineCacheColdStampede(t *testing.T) {
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithResultCache(8))
+		sqo.WithCache(sqo.CacheConfig{Capacity: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestEngineCacheEviction(t *testing.T) {
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithResultCache(4))
+		sqo.WithCache(sqo.CacheConfig{Capacity: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +214,10 @@ func TestEngineCacheEviction(t *testing.T) {
 		}
 	}
 	st := eng.Stats()
-	if st.CacheSize > 4 {
-		t.Errorf("CacheSize = %d, capacity 4", st.CacheSize)
+	if st.Cache.Size > 4 {
+		t.Errorf("Cache.Size = %d, capacity 4", st.Cache.Size)
 	}
-	if st.CacheEvictions == 0 {
+	if st.Cache.Evictions == 0 {
 		t.Error("expected evictions after overflowing a 4-entry cache with 12 queries")
 	}
 }
@@ -230,7 +230,7 @@ func TestEngineSwapCatalog(t *testing.T) {
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithResultCache(8))
+		sqo.WithCache(sqo.CacheConfig{Capacity: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,7 @@ func TestEngineSwapUnderLoad(t *testing.T) {
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithGrouping(sqo.GroupEvenSpread),
-		sqo.WithResultCache(64),
+		sqo.WithCache(sqo.CacheConfig{Capacity: 64}),
 		sqo.WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
@@ -453,27 +452,6 @@ func TestEngineWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineClosureOption: WithClosure materializes derived constraints once
-// at construction and reports them through Stats.
-func TestEngineClosureOption(t *testing.T) {
-	db, cat, model, _ := engineWorld(t, 1)
-	eng, err := sqo.NewEngine(db.Schema(),
-		sqo.WithCatalog(cat),
-		sqo.WithCostModel(model),
-		sqo.WithClosure(sqo.ClosureOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-	if st.DerivedConstraints == 0 {
-		t.Error("logistics catalog has chains; closure should derive constraints")
-	}
-	if st.Constraints != cat.Len()+st.DerivedConstraints {
-		t.Errorf("Constraints = %d, want %d declared + %d derived",
-			st.Constraints, cat.Len(), st.DerivedConstraints)
-	}
-}
-
 // TestNewEngineValidation: construction rejects misconfiguration up front.
 func TestNewEngineValidation(t *testing.T) {
 	db, cat, _, _ := engineWorld(t, 1)
@@ -481,20 +459,7 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Error("nil schema should be rejected")
 	}
 	if _, err := sqo.NewEngine(db.Schema()); err == nil {
-		t.Error("missing catalog and source should be rejected")
-	}
-	if _, err := sqo.NewEngine(db.Schema(),
-		sqo.WithCatalog(cat),
-		sqo.WithConstraintSource(sqo.CatalogSource{Catalog: cat})); err == nil {
-		t.Error("catalog + source should be rejected")
-	}
-	eng, err := sqo.NewEngine(db.Schema(),
-		sqo.WithConstraintSource(sqo.CatalogSource{Catalog: cat}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SwapCatalog(cat); err == nil {
-		t.Error("SwapCatalog on a custom-source engine should be rejected")
+		t.Error("missing catalog should be rejected")
 	}
 }
 
@@ -528,5 +493,5 @@ func BenchmarkEngineRepeatedWorkload(b *testing.B) {
 		}
 	}
 	b.Run("uncached", func(b *testing.B) { run(b) })
-	b.Run("cached", func(b *testing.B) { run(b, sqo.WithResultCache(64)) })
+	b.Run("cached", func(b *testing.B) { run(b, sqo.WithCache(sqo.CacheConfig{Capacity: 64})) })
 }

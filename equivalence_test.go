@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sqo"
+	"sqo/internal/core"
 )
 
 // TestSemanticEquivalenceProperty is the project's central invariant: on
@@ -84,7 +85,7 @@ func TestSemanticEquivalenceProperty(t *testing.T) {
 			}
 			want := baseline.Canonical()
 			for _, v := range variants {
-				opt := sqo.NewOptimizer(db.Schema(), sqo.CatalogSource{Catalog: cat}, v.opts(model))
+				opt := core.NewOptimizer(db.Schema(), core.CatalogSource{Catalog: cat}, v.opts(model))
 				res, err := opt.Optimize(q)
 				if err != nil {
 					t.Fatalf("seed %d %s: Optimize: %v", seed, v.name, err)
@@ -116,7 +117,7 @@ func TestIdempotenceProperty(t *testing.T) {
 	}
 	cat := sqo.LogisticsConstraints()
 	model := sqo.NewCostModel(db.Schema(), db.Analyze(), sqo.DefaultWeights)
-	opt := sqo.NewOptimizer(db.Schema(), sqo.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
+	opt := core.NewOptimizer(db.Schema(), core.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
 	gen := sqo.NewWorkloadGenerator(db, cat, sqo.WorkloadOptions{Seed: 9})
 	queries, err := gen.Workload(15)
 	if err != nil {
@@ -159,8 +160,8 @@ func TestOrderIndependenceProperty(t *testing.T) {
 	}
 	revCat := sqo.MustCatalog(rev...)
 
-	fwd := sqo.NewOptimizer(db.Schema(), sqo.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
-	bwd := sqo.NewOptimizer(db.Schema(), sqo.CatalogSource{Catalog: revCat}, sqo.Options{Cost: model})
+	fwd := core.NewOptimizer(db.Schema(), core.CatalogSource{Catalog: cat}, sqo.Options{Cost: model})
+	bwd := core.NewOptimizer(db.Schema(), core.CatalogSource{Catalog: revCat}, sqo.Options{Cost: model})
 	for _, q := range queries {
 		a, err := fwd.Optimize(q)
 		if err != nil {
@@ -184,7 +185,7 @@ func TestContradictionDetectionSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := sqo.LogisticsConstraints()
-	opt := sqo.NewOptimizer(db.Schema(), sqo.CatalogSource{Catalog: cat},
+	opt := core.NewOptimizer(db.Schema(), core.CatalogSource{Catalog: cat},
 		sqo.Options{DetectContradictions: true})
 	exec := sqo.NewExecutor(db)
 

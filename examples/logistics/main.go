@@ -30,12 +30,11 @@ func main() {
 	fmt.Printf("all %d semantic constraints hold\n\n", cat.Len())
 
 	model := sqo.NewCostModel(db.Schema(), db.Analyze(), sqo.DefaultWeights)
-	// One engine serves the whole workload: grouped retrieval, a result
+	// One engine serves the whole workload: indexed retrieval, a result
 	// cache for repeated queries, and a worker pool for the batch.
 	eng, err := sqo.NewEngine(db.Schema(),
 		sqo.WithCatalog(cat),
 		sqo.WithCostModel(model),
-		sqo.WithGrouping(sqo.GroupLeastAccessed),
 		sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		log.Fatal(err)
@@ -98,6 +97,6 @@ func main() {
 	fmt.Println("  before:", outcomes[0].q)
 
 	st := eng.Stats()
-	fmt.Printf("\nengine: %d optimizations, cache %d/%d hit/miss, %d constraints grouped\n",
-		st.Optimizations, st.CacheHits, st.CacheMisses, st.Constraints)
+	fmt.Printf("\nengine: %d optimizations, cache %d/%d hit/miss, %d constraints indexed\n",
+		st.Optimizations, st.Cache.Hits(), st.Cache.Misses, st.Constraints)
 }

@@ -53,7 +53,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("cache warmed: %d distinct optimizations cached\n", eng.Stats().CacheSize)
+	fmt.Printf("cache warmed: %d distinct optimizations cached\n", eng.Stats().Cache.Size)
 
 	// The data shifts: some frozen-food shipments grow past every mined
 	// quantity bound. State-dependent rules about cargo are now stale.
@@ -101,7 +101,7 @@ func main() {
 	}
 	after := eng.Stats()
 	fmt.Printf("replay of %d queries: %d cache hits, %d recomputed\n",
-		len(workload), after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses)
+		len(workload), after.Cache.Hits()-before.Cache.Hits(), after.Cache.Misses-before.Cache.Misses)
 }
 
 // deriveRound mines state rules and namespaces their IDs by round, so two

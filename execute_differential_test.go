@@ -49,7 +49,7 @@ func logisticsDiffEngine(t *testing.T, cfg sqo.DBConfig) (*sqo.Engine, *sqo.Data
 		sqo.WithCostModel(sqo.NewCostModel(db.Schema(), db.Analyze(), sqo.DefaultWeights)),
 		sqo.WithDatabase(db),
 		sqo.WithContradictionDetection(),
-		sqo.WithResultCache(256))
+		sqo.WithCache(sqo.CacheConfig{Capacity: 256}))
 	if err != nil {
 		t.Fatal(err)
 	}

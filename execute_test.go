@@ -177,7 +177,7 @@ func TestExecuteBatchError(t *testing.T) {
 // TestExecuteCacheAware: repeated Execute calls reuse the cached optimization
 // but still run the query — executions count, cache hits count.
 func TestExecuteCacheAware(t *testing.T) {
-	eng, db := execEngine(t, sqo.WithResultCache(16))
+	eng, db := execEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 16}))
 	gen := sqo.NewWorkloadGenerator(db, sqo.LogisticsConstraints(), sqo.WorkloadOptions{Seed: 3})
 	workload, err := gen.Workload(1)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestExecuteCacheAware(t *testing.T) {
 		t.Error("cached optimization changed the execution's rows")
 	}
 	st := eng.Stats()
-	if st.CacheHits == 0 {
+	if st.Cache.Hits() == 0 {
 		t.Errorf("no cache hit on the second Execute: %+v", st)
 	}
 	if st.Executions != 2 {

@@ -142,7 +142,7 @@ func TestFingerprintCollisionSanity(t *testing.T) {
 // same query under different catalog generations can never share a cache
 // slot — the invariant that used to ride on a string prefix.
 func TestCacheKeyFoldsEpoch(t *testing.T) {
-	eng, err := NewEngine(datagen.Schema(), WithCatalog(datagen.Constraints()), WithResultCache(8))
+	eng, err := NewEngine(datagen.Schema(), WithCatalog(datagen.Constraints()), WithCache(CacheConfig{Capacity: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,60 +9,118 @@ import (
 	"time"
 
 	"sqo"
+	"sqo/internal/core"
+	"sqo/internal/index"
 )
 
-// differentialPair builds two engines over the same schema and catalog that
-// differ only in retrieval: the inverted constraint index versus the linear
-// catalog scan.
-func differentialPair(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) (indexed, scanned *sqo.Engine) {
+// reference is a core optimizer the engine must agree with, built per world
+// from the schema and declared catalog.
+type reference struct {
+	name  string
+	build func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer
+}
+
+var (
+	// catalogScan scans the declared catalog in the interned symbol space
+	// core.CatalogSource compiles: retrieval differs from the engine's,
+	// representation does not.
+	catalogScan = reference{"catalog-scan", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
+		return core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, core.Options{})
+	}}
+	// stringSpaceIndex retrieves through the constraint index but hides its
+	// symbol space, so core runs its string-keyed transformation table:
+	// representation differs from the engine's, retrieval does not.
+	stringSpaceIndex = reference{"string-space-index", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
+		return stringSpaceOptimizer(t, sch, hiddenSymbols{index.New(cat)})
+	}}
+	// stringScan is a string-space scan of the declared catalog (index.Scan
+	// exposes no symbol space): the pre-index, pre-interning baseline.
+	stringScan = reference{"string-scan", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
+		return stringSpaceOptimizer(t, sch, index.Scan{Catalog: cat})
+	}}
+	// closedCatalog optimizes over the catalog's materialized transitive
+	// closure, the paper's [YuS89] preprocessing the engine skips.
+	closedCatalog = reference{"closure", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
+		closed, _, _, err := sqo.MaterializeClosure(cat, sqo.ClosureOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.NewOptimizer(sch, core.CatalogSource{Catalog: closed}, core.Options{})
+	}}
+)
+
+// hiddenSymbols retrieves through the constraint index without exposing its
+// compiled symbol space.
+type hiddenSymbols struct{ ix *index.Index }
+
+func (s hiddenSymbols) Retrieve(q *sqo.Query) []*sqo.Constraint { return s.ix.Retrieve(q) }
+
+func (hiddenSymbols) RetrievesOnlyRelevant() {}
+
+func stringSpaceOptimizer(t testing.TB, sch *sqo.Schema, src core.ConstraintSource) *core.Optimizer {
 	t.Helper()
-	indexed, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
+	o := core.NewOptimizer(sch, src, core.Options{})
+	if o.Symbols() != nil {
+		t.Fatal("string-space reference unexpectedly runs in an interned symbol space")
+	}
+	return o
+}
+
+// referenceWorld pairs the default engine over a catalog with the references
+// it must agree with.
+type referenceWorld struct {
+	eng  *sqo.Engine
+	refs []reference
+	opts []*core.Optimizer
+}
+
+func newReferenceWorld(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog, refs []reference) referenceWorld {
+	t.Helper()
+	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scanned, err = sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithConstraintIndex(false))
-	if err != nil {
-		t.Fatal(err)
+	if eng.Stats().ConstraintIndex.Constraints != cat.Len() {
+		t.Fatalf("engine did not index its %d constraints", cat.Len())
 	}
-	if indexed.Stats().ConstraintIndex.Constraints != cat.Len() {
-		t.Fatalf("index engine did not build an index over %d constraints", cat.Len())
+	w := referenceWorld{eng: eng, refs: refs}
+	for _, ref := range refs {
+		w.opts = append(w.opts, ref.build(t, sch, cat))
 	}
-	if scanned.Stats().ConstraintIndex.Constraints != 0 {
-		t.Fatal("scan engine unexpectedly built an index")
-	}
-	return indexed, scanned
+	return w
 }
 
-// diffOne optimizes one query through both engines and fails on any output
-// divergence: the formulated query must be byte-identical and the final
-// predicate classification equal.
-func diffOne(t testing.TB, label string, indexed, scanned *sqo.Engine, q *sqo.Query) {
+// check optimizes one query through the engine and every reference and
+// fails on any divergence: the formulated query must be byte-identical, and
+// EmptyResult and the final predicate classification equal.
+func (w referenceWorld) check(t testing.TB, label string, q *sqo.Query) {
 	t.Helper()
-	ctx := context.Background()
-	a, err := indexed.Optimize(ctx, q)
+	got, err := w.eng.Optimize(context.Background(), q)
 	if err != nil {
-		t.Fatalf("%s: index-backed optimize: %v\n%s", label, err, q)
+		t.Fatalf("%s: engine optimize: %v\n%s", label, err, q)
 	}
-	b, err := scanned.Optimize(ctx, q)
-	if err != nil {
-		t.Fatalf("%s: scan-backed optimize: %v\n%s", label, err, q)
-	}
-	if got, want := a.Optimized.String(), b.Optimized.String(); got != want {
-		t.Fatalf("%s: outputs diverge\nquery: %s\nindex: %s\nscan:  %s", label, q, got, want)
-	}
-	if a.EmptyResult != b.EmptyResult {
-		t.Fatalf("%s: EmptyResult diverges for %s", label, q)
-	}
-	if !reflect.DeepEqual(a.FinalTags(), b.FinalTags()) {
-		t.Fatalf("%s: final tags diverge for %s\nindex: %v\nscan:  %v", label, q, a.FinalTags(), b.FinalTags())
+	for i, ref := range w.refs {
+		want, err := w.opts[i].Optimize(q)
+		if err != nil {
+			t.Fatalf("%s: %s reference optimize: %v\n%s", label, ref.name, err, q)
+		}
+		if a, b := got.Optimized.String(), want.Optimized.String(); a != b {
+			t.Fatalf("%s: engine and %s reference diverge\nquery:  %s\nengine: %s\n%s: %s", label, ref.name, q, a, ref.name, b)
+		}
+		if got.EmptyResult != want.EmptyResult {
+			t.Fatalf("%s: EmptyResult diverges from the %s reference for %s", label, ref.name, q)
+		}
+		if !reflect.DeepEqual(got.FinalTags(), want.FinalTags()) {
+			t.Fatalf("%s: final tags diverge from the %s reference for %s\nengine: %v\n%s: %v",
+				label, ref.name, q, got.FinalTags(), ref.name, want.FinalTags())
+		}
 	}
 }
 
-// TestIndexScanDifferential proves index-backed and scan-backed optimization
-// produce byte-identical formulated queries (and identical tag assignments)
-// across the whole sqogen workload plus two scaled worlds — over a thousand
-// generated queries in total.
-func TestIndexScanDifferential(t *testing.T) {
+// referenceSweep checks the engine against refs across two sqogen workloads
+// on the paper's logistics world and two query seeds on each of the scaled
+// 10² and 10³ worlds: 2,080 generated queries against every reference.
+func referenceSweep(t *testing.T, refs ...reference) {
 	if testing.Short() {
 		t.Skip("differential sweep")
 	}
@@ -75,16 +133,17 @@ func TestIndexScanDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := sqo.LogisticsConstraints()
-	gen := sqo.NewWorkloadGenerator(db, cat, sqo.WorkloadOptions{Seed: 41})
-	workload, err := gen.Workload(240)
-	if err != nil {
-		t.Fatal(err)
+	logistics := newReferenceWorld(t, db.Schema(), cat, refs)
+	for _, seed := range []int64{41, 53} {
+		workload, err := sqo.NewWorkloadGenerator(db, cat, sqo.WorkloadOptions{Seed: seed}).Workload(240)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range workload {
+			logistics.check(t, "logistics", q)
+		}
+		total += len(workload)
 	}
-	indexed, scanned := differentialPair(t, db.Schema(), cat)
-	for _, q := range workload {
-		diffOne(t, "logistics", indexed, scanned, q)
-	}
-	total += len(workload)
 
 	// Scaled worlds at 10² and 10³ constraints.
 	for _, n := range []int{100, 1000} {
@@ -93,27 +152,51 @@ func TestIndexScanDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs, err := sqo.ScaledWorkload(sch, scat, 400, 17)
-		if err != nil {
-			t.Fatal(err)
+		w := newReferenceWorld(t, sch, scat, refs)
+		for _, seed := range []int64{17, 29} {
+			qs, err := sqo.ScaledWorkload(sch, scat, 400, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range qs {
+				w.check(t, label, q)
+			}
+			total += len(qs)
 		}
-		ix, sc := differentialPair(t, sch, scat)
-		for _, q := range qs {
-			diffOne(t, label, ix, sc, q)
-		}
-		total += len(qs)
 	}
 
-	if total < 1000 {
-		t.Fatalf("differential sweep covered only %d queries, want >= 1000", total)
+	if total < 2000 {
+		t.Fatalf("differential sweep covered only %d queries, want >= 2000", total)
 	}
 }
 
-// TestIndexScanDifferentialLarge is the nightly 10⁴-constraint differential:
-// a thousand queries against a ten-thousand-rule catalog, index versus scan.
-// Gated behind SQO_LARGE_CATALOG because the scan side is deliberately slow —
-// that being the point of the index.
-func TestIndexScanDifferentialLarge(t *testing.T) {
+// TestEngineReferenceDifferential proves the engine — inverted index over
+// the interned symbol space, declared catalog — byte-identical to a
+// string-space catalog scan and to optimization over the materialized
+// closure. The closure reference is the standing proof that the serving
+// path need not materialize closure (DESIGN.md deviation #13).
+func TestEngineReferenceDifferential(t *testing.T) {
+	referenceSweep(t, stringScan, closedCatalog)
+}
+
+// TestIndexScanDifferential isolates retrieval: index-backed and scan-backed
+// optimization in the same interned symbol space must agree.
+func TestIndexScanDifferential(t *testing.T) {
+	referenceSweep(t, catalogScan)
+}
+
+// TestInterningDifferential isolates representation: the interned hot path
+// and the string-space transformation table over the same index retrieval
+// must agree.
+func TestInterningDifferential(t *testing.T) {
+	referenceSweep(t, stringSpaceIndex)
+}
+
+// TestEngineReferenceDifferentialLarge is the nightly 10⁴-constraint
+// differential: a thousand queries against a ten-thousand-rule catalog.
+// Gated behind SQO_LARGE_CATALOG because the scan reference is deliberately
+// slow — that being the point of the index.
+func TestEngineReferenceDifferentialLarge(t *testing.T) {
 	if os.Getenv("SQO_LARGE_CATALOG") == "" {
 		t.Skip("set SQO_LARGE_CATALOG=1 to run the 1e4 differential")
 	}
@@ -125,15 +208,15 @@ func TestIndexScanDifferentialLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, scanned := differentialPair(t, sch, cat)
+	w := newReferenceWorld(t, sch, cat, []reference{stringScan, closedCatalog})
 	for _, q := range qs {
-		diffOne(t, "scaled-10000", indexed, scanned, q)
+		w.check(t, "scaled-10000", q)
 	}
 }
 
 // TestIndexSublinearSpeedup is the acceptance bar of the index layer: on a
-// 10⁴-constraint catalog, index-backed optimization must beat the scan
-// baseline by at least 5x in the same run. The measured gap is typically an
+// 10⁴-constraint catalog, the engine's index-backed optimization must beat a
+// core optimizer scanning the catalog by at least 5x in the same run. The measured gap is typically an
 // order of magnitude or more; 5x leaves room for noisy CI machines.
 func TestIndexSublinearSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -150,13 +233,18 @@ func TestIndexSublinearSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, scanned := differentialPair(t, sch, cat)
+	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanned := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, core.Options{})
 	ctx := context.Background()
+	indexed := func(q *sqo.Query) (*sqo.Result, error) { return eng.Optimize(ctx, q) }
 
-	pass := func(e *sqo.Engine) time.Duration {
+	pass := func(optimize func(*sqo.Query) (*sqo.Result, error)) time.Duration {
 		start := time.Now()
 		for _, q := range qs {
-			if _, err := e.Optimize(ctx, q); err != nil {
+			if _, err := optimize(q); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,88 +253,21 @@ func TestIndexSublinearSpeedup(t *testing.T) {
 	// Warm up both (allocator, branch caches), then take the best of three
 	// passes each to shed scheduler noise.
 	pass(indexed)
-	pass(scanned)
-	best := func(e *sqo.Engine) time.Duration {
-		b := pass(e)
+	pass(scanned.Optimize)
+	best := func(optimize func(*sqo.Query) (*sqo.Result, error)) time.Duration {
+		b := pass(optimize)
 		for i := 0; i < 2; i++ {
-			if d := pass(e); d < b {
+			if d := pass(optimize); d < b {
 				b = d
 			}
 		}
 		return b
 	}
-	idx, scan := best(indexed), best(scanned)
+	idx, scan := best(indexed), best(scanned.Optimize)
 	t.Logf("10⁴-constraint catalog, %d queries/pass: index %v, scan %v (%.1fx)",
 		len(qs), idx, scan, float64(scan)/float64(idx))
 	if scan < idx*5 {
 		t.Errorf("index-backed optimization is only %.1fx faster than the scan baseline, want >= 5x (index %v, scan %v)",
 			float64(scan)/float64(idx), idx, scan)
-	}
-}
-
-// interningPair builds two engines over the same schema and catalog at the
-// two ends of the representation ablation: the default configuration
-// (inverted index + interned symbol space) versus the pre-interning baseline
-// (linear catalog scan, string-space transformation tables) — the exact
-// retrieval-and-representation stack of the index PR.
-func interningPair(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) (interned, strings *sqo.Engine) {
-	t.Helper()
-	interned, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	strings, err = sqo.NewEngine(sch, sqo.WithCatalog(cat),
-		sqo.WithConstraintIndex(false), sqo.WithSymbolInterning(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return interned, strings
-}
-
-// TestInterningDifferential proves the interned-symbol-space hot path
-// produces byte-identical formulated queries (and identical tag assignments)
-// to the string-space scan baseline across the whole sqogen workload plus
-// two scaled worlds — over a thousand generated queries in total.
-func TestInterningDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential sweep")
-	}
-	total := 0
-
-	db, err := sqo.GenerateDatabase(sqo.DB1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := sqo.LogisticsConstraints()
-	gen := sqo.NewWorkloadGenerator(db, cat, sqo.WorkloadOptions{Seed: 53})
-	workload, err := gen.Workload(240)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interned, strings := interningPair(t, db.Schema(), cat)
-	for _, q := range workload {
-		diffOne(t, "logistics-interning", interned, strings, q)
-	}
-	total += len(workload)
-
-	for _, n := range []int{100, 1000} {
-		label := fmt.Sprintf("scaled-interning-%d", n)
-		sch, scat, err := sqo.GenerateScaledWorld(sqo.ScaledConfig{Constraints: n, Seed: int64(n)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs, err := sqo.ScaledWorkload(sch, scat, 400, 29)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in, st := interningPair(t, sch, scat)
-		for _, q := range qs {
-			diffOne(t, label, in, st, q)
-		}
-		total += len(qs)
-	}
-
-	if total < 1000 {
-		t.Fatalf("interning differential covered only %d queries, want >= 1000", total)
 	}
 }

@@ -78,6 +78,9 @@ type Fig41Result struct {
 	// queries over ClassCounts[i] classes with ConstraintCounts[j]
 	// relevant constraints.
 	Micros [][]float64
+	// Ops[i][j] is the same cell's counted work (Result.Stats.Ops): a
+	// deterministic measure of the surface, free of timing noise.
+	Ops [][]int64
 }
 
 // RunFig41 reproduces Figure 4.1 on a synthetic chain schema where both
@@ -90,10 +93,12 @@ func RunFig41() *Fig41Result {
 	}
 	for _, k := range res.ClassCounts {
 		row := make([]float64, len(res.ConstraintCounts))
+		ops := make([]int64, len(res.ConstraintCounts))
 		for j, n := range res.ConstraintCounts {
-			row[j] = measureTransform(k, n)
+			row[j], ops[j] = measureTransform(k, n)
 		}
 		res.Micros = append(res.Micros, row)
+		res.Ops = append(res.Ops, ops)
 	}
 	return res
 }
@@ -150,8 +155,8 @@ func chainQuery(k int) *query.Query {
 
 // measureTransform returns the mean transformation time in microseconds for
 // one (classes, constraints) cell, amortized over enough repetitions to be
-// stable.
-func measureTransform(k, n int) float64 {
+// stable, and the counted work of one optimization of the cell.
+func measureTransform(k, n int) (float64, int64) {
 	sch := chainSchema(k, n+2)
 	cat := chainConstraints(k, n)
 	opt := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, core.Options{
@@ -160,7 +165,8 @@ func measureTransform(k, n int) float64 {
 	q := chainQuery(k)
 
 	// Warm up and verify.
-	if _, err := opt.Optimize(q); err != nil {
+	first, err := opt.Optimize(q)
+	if err != nil {
 		panic(fmt.Sprintf("bench: fig 4.1 cell (%d,%d): %v", k, n, err))
 	}
 	const minDuration = 25 * time.Millisecond
@@ -174,7 +180,7 @@ func measureTransform(k, n int) float64 {
 		total += res.Stats.TransformDuration
 		iters++
 	}
-	return float64(total.Microseconds()) / float64(iters)
+	return float64(total.Microseconds()) / float64(iters), first.Stats.Ops
 }
 
 // Render prints the surface with classes down and constraint counts across,

@@ -83,10 +83,7 @@ func RunInterning(sizes []int, queries int, seed int64) ([]InterningRow, error) 
 func interningCell(label string, sch *schema.Schema, cat *constraint.Catalog, qs []*query.Query) (InterningRow, error) {
 	ix := index.New(cat)
 	interned := core.NewOptimizer(sch, ix, core.Options{Cost: core.HeuristicCost{Schema: sch}})
-	stringSpace := core.NewOptimizer(sch, ix, core.Options{
-		Cost:             core.HeuristicCost{Schema: sch},
-		DisableInterning: true,
-	})
+	stringSpace := core.NewOptimizer(sch, stringSpaceSource{ix}, core.Options{Cost: core.HeuristicCost{Schema: sch}})
 	row := InterningRow{World: label, Constraints: cat.Len()}
 
 	var optErr error
@@ -117,6 +114,16 @@ func interningCell(label string, sch *schema.Schema, cat *constraint.Catalog, qs
 	}
 	return row, nil
 }
+
+// stringSpaceSource retrieves through the index but hides its symbol space,
+// so the optimizer runs its transformation table in string space.
+type stringSpaceSource struct{ ix *index.Index }
+
+func (s stringSpaceSource) Retrieve(q *query.Query) []*constraint.Constraint {
+	return s.ix.Retrieve(q)
+}
+
+func (stringSpaceSource) RetrievesOnlyRelevant() {}
 
 // RenderInterning prints the experiment as a paper-style table.
 func RenderInterning(rows []InterningRow) string {

@@ -118,11 +118,11 @@ type ConstraintSource interface {
 }
 
 // SymbolSource is an optional upgrade of ConstraintSource: a source (the
-// constraint index, the group store) that has compiled its catalog into an
-// interned symbol space — dense predicate/class/attribute IDs, compiled
-// constraints and the implication adjacency. The transformation table then
-// runs entirely in ID space, reusing catalog-lifetime work across queries;
-// only predicates private to a query are compared at optimization time.
+// constraint index) that has compiled its catalog into an interned symbol
+// space — dense predicate/class/attribute IDs, compiled constraints and the
+// implication adjacency. The transformation table then runs entirely in ID
+// space, reusing catalog-lifetime work across queries; only predicates
+// private to a query are compared at optimization time.
 type SymbolSource interface {
 	// Symbols returns the compiled symbol space of the source's catalog
 	// generation (read-only).
@@ -249,11 +249,6 @@ type Options struct {
 	// is one extra escaping allocation per optimization, and only cached
 	// results ever get invalidated.
 	RecordDeps bool
-	// DisableInterning turns off the compiled symbol space (the interning
-	// ablation): the transformation table falls back to interning
-	// predicates by canonical key strings per query, the pre-interning
-	// behavior. Output is identical; only the constant factors change.
-	DisableInterning bool
 	// Cost supplies profitability estimates; nil means HeuristicCost.
 	Cost CostModel
 }
@@ -277,7 +272,7 @@ type Optimizer struct {
 	source      ConstraintSource
 	opts        Options
 	prefiltered bool
-	syms        *symtab.Table // compiled symbol space; nil when interning is off
+	syms        *symtab.Table // compiled symbol space; nil for a custom source
 	tables      sync.Pool     // *table scratch, reused across Optimize calls
 }
 
@@ -298,17 +293,13 @@ func NewOptimizerSymbols(s *schema.Schema, src ConstraintSource, syms *symtab.Ta
 		opts.Cost = HeuristicCost{Schema: s}
 	}
 	_, prefiltered := src.(PrefilteredSource)
-	o := &Optimizer{schema: s, source: src, opts: opts, prefiltered: prefiltered}
-	if !opts.DisableInterning {
-		if syms != nil {
-			o.syms = syms
-		} else {
-			switch v := src.(type) {
-			case SymbolSource:
-				o.syms = v.Symbols()
-			case CatalogSource:
-				o.syms = symtab.Compile(s, v.Catalog.All())
-			}
+	o := &Optimizer{schema: s, source: src, opts: opts, prefiltered: prefiltered, syms: syms}
+	if syms == nil {
+		switch v := src.(type) {
+		case SymbolSource:
+			o.syms = v.Symbols()
+		case CatalogSource:
+			o.syms = symtab.Compile(s, v.Catalog.All())
 		}
 	}
 	o.tables.New = func() any { return &table{} }
@@ -319,5 +310,5 @@ func NewOptimizerSymbols(s *schema.Schema, src ConstraintSource, syms *symtab.Ta
 func (o *Optimizer) Schema() *schema.Schema { return o.schema }
 
 // Symbols returns the compiled symbol space of the optimizer's constraint
-// source, or nil (custom source, or interning disabled).
+// source, or nil for a custom source that exposes none.
 func (o *Optimizer) Symbols() *symtab.Table { return o.syms }

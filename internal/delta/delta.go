@@ -303,8 +303,8 @@ func (g *Gen) Constraints() []*constraint.Constraint {
 
 // Rebuild applies ops to a plain catalog and returns the resulting catalog
 // plus the validated plan — the from-scratch reference semantics of a
-// delta, shared by the engine's non-incremental fallback path and the
-// differential tests. The result contains the surviving constraints in
+// delta, shared by the engine's tombstone compaction and the differential
+// tests. The result contains the surviving constraints in
 // their original order followed by the additions, exactly the live order an
 // incremental lineage maintains.
 func Rebuild(cat *constraint.Catalog, ops []Op, sch *schema.Schema) (*constraint.Catalog, Plan, error) {

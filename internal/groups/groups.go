@@ -29,7 +29,6 @@ import (
 
 	"sqo/internal/constraint"
 	"sqo/internal/query"
-	"sqo/internal/symtab"
 )
 
 // Policy selects how constraints are assigned to class groups.
@@ -114,14 +113,6 @@ type Store struct {
 	stats  *AccessStats
 	groups map[string][]*constraint.Constraint
 
-	// The catalog's compiled symbol space, built on first demand (the
-	// optimizer asks once at construction). Rebuild only redistributes
-	// the same constraints, so the compiled space stays valid for the
-	// store's lifetime.
-	catalog  []*constraint.Constraint // as supplied, catalog order
-	symsOnce sync.Once
-	syms     *symtab.Table
-
 	// Metrics accumulated across Retrieve calls, for the grouping
 	// ablation experiment.
 	retrieved atomic.Int64 // constraints fetched from groups
@@ -133,21 +124,10 @@ type Store struct {
 // degrade to Arbitrary.
 func NewStore(cat *constraint.Catalog, policy Policy, stats *AccessStats) *Store {
 	st := &Store{policy: policy, stats: stats, groups: map[string][]*constraint.Constraint{}}
-	st.catalog = cat.All()
-	for _, c := range st.catalog {
+	for _, c := range cat.All() {
 		st.assign(c)
 	}
 	return st
-}
-
-// Symbols returns the compiled symbol space of the store's catalog,
-// compiling it on first call (core.SymbolSource). The transformation table
-// uses it to run in interned-ID space for group-retrieved constraints too.
-func (st *Store) Symbols() *symtab.Table {
-	st.symsOnce.Do(func() {
-		st.syms = symtab.Compile(nil, st.catalog)
-	})
-	return st.syms
 }
 
 // Policy returns the store's assignment policy.

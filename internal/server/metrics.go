@@ -135,7 +135,7 @@ func (s *Server) newRegistry() *obs.Registry {
 	r.Gauge("sqo_catalog_epoch", "Current catalog generation.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Epoch)})
 	})
-	r.Gauge("sqo_catalog_constraints", "Active constraints after closure.", func(emit func(obs.Sample)) {
+	r.Gauge("sqo_catalog_constraints", "Live constraints in the current catalog generation.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Constraints)})
 	})
 

@@ -327,9 +327,8 @@ type SwapRequest struct {
 
 // SwapResponse reports the newly active generation.
 type SwapResponse struct {
-	Constraints        int    `json:"constraints"`
-	DerivedConstraints int    `json:"derived_constraints"`
-	Epoch              uint64 `json:"epoch"`
+	Constraints int    `json:"constraints"`
+	Epoch       uint64 `json:"epoch"`
 }
 
 // UpdateRequest is the body of POST /catalog/update: an incremental catalog
@@ -560,13 +559,8 @@ func (s *Server) handleCatalogSwap(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st := s.eng.Stats()
-	s.log.Info("catalog swapped",
-		"constraints", st.Constraints, "derived", st.DerivedConstraints, "epoch", st.Epoch)
-	writeJSON(w, http.StatusOK, SwapResponse{
-		Constraints:        st.Constraints,
-		DerivedConstraints: st.DerivedConstraints,
-		Epoch:              st.Epoch,
-	})
+	s.log.Info("catalog swapped", "constraints", st.Constraints, "epoch", st.Epoch)
+	writeJSON(w, http.StatusOK, SwapResponse{Constraints: st.Constraints, Epoch: st.Epoch})
 }
 
 func (s *Server) handleCatalogUpdate(w http.ResponseWriter, r *http.Request) {

@@ -20,7 +20,7 @@ const testQueryText = `(SELECT {cargo.desc} {} {vehicle.desc = "refrigerated tru
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Engine == nil {
-		cfg.Engine = testEngine(t, sqo.WithResultCache(64))
+		cfg.Engine = testEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestBatchEndpointErrors(t *testing.T) {
 }
 
 func TestCatalogSwapEndpoint(t *testing.T) {
-	eng := testEngine(t, sqo.WithResultCache(64))
+	eng := testEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	_, ts := newTestServer(t, Config{Engine: eng})
 
 	// Re-render the active catalog and swap it back in: a no-op in
@@ -251,7 +251,7 @@ func TestGracefulDrain(t *testing.T) {
 	// A wide collection window parks every handler inside the batcher, so
 	// the whole fleet is verifiably in flight when the drain starts.
 	s, err := New(Config{
-		Engine:      testEngine(t, sqo.WithResultCache(64)),
+		Engine:      testEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64})),
 		BatchWindow: 100 * time.Millisecond,
 		BatchLimit:  1000,
 	})

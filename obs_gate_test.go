@@ -31,7 +31,7 @@ func TestTracingDisabledZeroAllocs(t *testing.T) {
 		name string
 		opts []sqo.EngineOption
 	}{
-		{"exact-cache", []sqo.EngineOption{sqo.WithCatalog(datagen.Constraints()), sqo.WithResultCache(64)}},
+		{"exact-cache", []sqo.EngineOption{sqo.WithCatalog(datagen.Constraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 64})}},
 		{"canonical-cache", []sqo.EngineOption{sqo.WithCatalog(datagen.Constraints()),
 			sqo.WithCache(sqo.CacheConfig{Capacity: 64, Subsume: true})}},
 	} {
@@ -63,7 +63,7 @@ func TestTracedCachedOptimizeZeroAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; the non-race CI job runs this")
 	}
 	eng, err := sqo.NewEngine(datagen.Schema(),
-		sqo.WithCatalog(datagen.Constraints()), sqo.WithResultCache(64))
+		sqo.WithCatalog(datagen.Constraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +86,11 @@ func TestTracedCachedOptimizeZeroAllocs(t *testing.T) {
 }
 
 // TestSampledTracingOverhead: with every request traced (the worst case —
-// production samples 1-in-N), the BenchmarkOptimize pipeline — one full
-// uncached optimization over scan-backed retrieval — slows by less than
-// 5%. The recorder's cost is a fixed ~300ns of lifecycle (pool, context
-// value, two clock reads, ring publish), so the gate measures it against
-// the same pipeline the benchmark tracks rather than the ~4×-faster
-// indexed fast path, where any fixed cost is proportionally inflated and
-// a real serving request amortizes it over HTTP + parse anyway. Medians
-// of interleaved trials damp scheduler noise; a failed attempt
-// re-measures before failing the build.
+// production samples 1-in-N), one full uncached optimization through the
+// engine slows by less than 5%. The recorder's cost is a fixed ~300ns of
+// lifecycle (pool, context value, two clock reads, ring publish). Medians
+// of interleaved trials damp scheduler noise; a failed attempt re-measures
+// before failing the build.
 func TestSampledTracingOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate; skipped in -short")
@@ -102,8 +98,7 @@ func TestSampledTracingOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts timing; the non-race CI job runs this")
 	}
-	eng, err := sqo.NewEngine(datagen.Schema(), sqo.WithCatalog(datagen.Constraints()),
-		sqo.WithConstraintIndex(false), sqo.WithSymbolInterning(false))
+	eng, err := sqo.NewEngine(datagen.Schema(), sqo.WithCatalog(datagen.Constraints()))
 	if err != nil {
 		t.Fatal(err) // no cache: every call runs the full pipeline
 	}

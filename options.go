@@ -10,17 +10,10 @@ type EngineOption func(*engineConfig)
 
 // engineConfig is the accumulated construction-time configuration of an
 // Engine. It is frozen at NewEngine; SwapCatalog rebuilds the derived state
-// (closure, groups, optimizer) but never the configuration.
+// (symbol space, index, optimizer) but never the configuration.
 type engineConfig struct {
 	catalog         *Catalog
-	source          ConstraintSource
 	snap            *Snapshot
-	closure         bool
-	closureOpts     ClosureOptions
-	grouping        bool
-	policy          GroupPolicy
-	noIndex         bool
-	noIntern        bool
 	core            Options
 	cache           CacheConfig
 	workers         int
@@ -30,60 +23,10 @@ type engineConfig struct {
 
 // WithCatalog supplies the declared semantic-constraint catalog. The catalog
 // is validated against the schema at construction and can later be replaced
-// atomically with Engine.SwapCatalog. Exactly one of WithCatalog and
-// WithConstraintSource must be given.
+// atomically with Engine.SwapCatalog or mutated with Engine.UpdateCatalog.
+// Exactly one of WithCatalog and WithSnapshot must be given.
 func WithCatalog(cat *Catalog) EngineOption {
 	return func(c *engineConfig) { c.catalog = cat }
-}
-
-// WithConstraintSource wires a custom ConstraintSource directly into the
-// optimizer, bypassing the engine's own closure materialization and grouping
-// (and disabling SwapCatalog, which needs to own the catalog to rebuild
-// them). The source must be safe for concurrent use.
-func WithConstraintSource(src ConstraintSource) EngineOption {
-	return func(c *engineConfig) { c.source = src }
-}
-
-// WithClosure enables transitive-closure materialization (Section 3 /
-// [YuS89]) of the catalog at construction and after every SwapCatalog, so
-// chained constraints are derived once up front instead of per query.
-func WithClosure(opts ClosureOptions) EngineOption {
-	return func(c *engineConfig) { c.closure, c.closureOpts = true, opts }
-}
-
-// WithGrouping enables the paper's class-attached constraint grouping for
-// retrieval, under the given assignment policy, instead of the default
-// inverted constraint index. Fresh access statistics are maintained per
-// catalog generation. Retrieval strategy precedence: WithConstraintSource,
-// then WithGrouping, then the constraint index, then the linear scan.
-func WithGrouping(policy GroupPolicy) EngineOption {
-	return func(c *engineConfig) { c.grouping, c.policy = true, policy }
-}
-
-// WithConstraintIndex toggles the inverted constraint index (on by default):
-// the catalog is indexed once per generation — at NewEngine and again inside
-// every SwapCatalog, so catalog and index always swap together — and each
-// query's relevant constraints are fetched through the index's class posting
-// lists instead of an O(|catalog|) scan. Retrieval results are identical to
-// the scan's, in the same order; only the lookup cost changes. Disabling it
-// restores the linear scan (the baseline the differential tests compare
-// against). The option is ignored under WithGrouping or
-// WithConstraintSource, which supply their own retrieval.
-func WithConstraintIndex(enabled bool) EngineOption {
-	return func(c *engineConfig) { c.noIndex = !enabled }
-}
-
-// WithSymbolInterning toggles the interned symbol space (on by default): the
-// catalog is compiled once per generation — at NewEngine and again inside
-// every SwapCatalog — into dense class/attribute/predicate IDs, and the
-// per-query hot path (transformation table, implication matching, result
-// cache keys) runs on those IDs instead of canonical strings, with
-// per-worker scratch reuse making steady-state optimization allocation-free.
-// Disabling it restores the string-space path (the baseline the interning
-// differential tests and the `sqobench -exp interning` ablation compare
-// against). Output is identical either way; only cost changes.
-func WithSymbolInterning(enabled bool) EngineOption {
-	return func(c *engineConfig) { c.noIntern = !enabled }
 }
 
 // WithCostModel supplies the cost model used by query formulation. The model
@@ -145,31 +88,17 @@ type CacheConfig struct {
 	// re-running the transformation table. Derivations are byte-identical
 	// to cold optimization (the differential suite enforces it); queries
 	// outside the provable class fall through to cold optimization.
-	// Subsume implies Canonicalize. It requires the engine's own catalog
-	// (not WithConstraintSource) and the default heuristic cost model —
-	// under a statistics cost model formulation is query-dependent, so the
-	// engine silently serves without subsumption.
+	// Subsume implies Canonicalize. It requires the default heuristic cost
+	// model — under a statistics cost model formulation is query-dependent,
+	// so the engine silently serves without subsumption.
 	Subsume bool
 }
 
 // WithCache configures the result cache from one CacheConfig — capacity,
-// canonicalization, subsumption. Later cache options (including the
-// deprecated WithResultCache) override earlier ones wholesale.
+// canonicalization, subsumption. A later WithCache overrides an earlier one
+// wholesale.
 func WithCache(cc CacheConfig) EngineOption {
 	return func(c *engineConfig) { c.cache = cc }
-}
-
-// WithResultCache enables the fingerprint-keyed LRU result cache with room
-// for n optimized queries. Repeated queries — modulo predicate, class and
-// relationship ordering — are then served from the cache without re-running
-// the transformation algorithm. SwapCatalog invalidates the cache. n <= 0
-// leaves caching disabled (the default).
-//
-// Deprecated: use WithCache(CacheConfig{Capacity: n}), which also exposes
-// canonicalization and subsumption. WithResultCache remains as a shim and
-// configures an exact-match-only cache.
-func WithResultCache(n int) EngineOption {
-	return WithCache(CacheConfig{Capacity: n})
 }
 
 // WithWorkers sets the number of goroutines OptimizeBatch fans out to.

@@ -1,7 +1,6 @@
 package sqo
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -81,10 +80,8 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 // WithSnapshot boots the engine from a loaded snapshot instead of compiling
 // a catalog: the generation's symbol space, ordinal space and index are
 // adopted as-is, making construction O(already decoded). Mutually exclusive
-// with WithCatalog and WithConstraintSource; requires the default retrieval
-// stack (no closure, no grouping, index and interning on), which is also
-// what SaveSnapshot captures. The snapshot's schema hash must match the
-// engine's schema.
+// with WithCatalog. The snapshot's schema hash must match the engine's
+// schema.
 //
 // UpdateCatalog and SwapCatalog work normally on a restored engine; the
 // restored generation seeds the mutation lineage exactly where the saved
@@ -116,32 +113,24 @@ func schemaHash(s *Schema) uint64 {
 // a delta-built-style state (gen set, declared/active nil) whose catalog
 // view materializes lazily, exactly like a generation UpdateCatalog built.
 func (e *Engine) restoreState(m *snapshot.Model, epoch uint64) *engineState {
-	st := &engineState{
+	return &engineState{
 		index: m.Index,
 		syms:  m.Syms,
 		gen:   delta.NewGen(m.All, m.Dead),
+		opt:   core.NewOptimizerSymbols(e.schema, m.Index, m.Syms, e.effectiveCoreOpts()),
 		epoch: epoch,
 	}
-	st.opt = core.NewOptimizerSymbols(e.schema, m.Index, m.Syms, e.effectiveCoreOpts())
-	st.syms = st.opt.Symbols()
-	return st
 }
 
 // snapshotModel captures the current generation as a snapshot model.
-func (e *Engine) snapshotModel(seq uint64) (*snapshot.Model, error) {
-	if e.cfg.source != nil {
-		return nil, errors.New("sqo: engines built with WithConstraintSource cannot be snapshotted")
-	}
-	if !e.incrementalOK() {
-		return nil, errors.New("sqo: snapshots require the default retrieval stack (no closure or grouping, index and interning on)")
-	}
+func (e *Engine) snapshotModel(seq uint64) *snapshot.Model {
 	st := e.state.Load()
 	var all []*constraint.Constraint
 	var dead []bool
 	if st.gen != nil {
 		all, dead = st.gen.Ordinals()
 	} else {
-		all = st.active.All()
+		all = st.declared.All()
 		dead = make([]bool, len(all))
 	}
 	return &snapshot.Model{
@@ -151,22 +140,16 @@ func (e *Engine) snapshotModel(seq uint64) (*snapshot.Model, error) {
 		Dead:       dead,
 		Syms:       st.syms,
 		Index:      st.index,
-	}, nil
+	}
 }
 
 // SaveSnapshot serializes the engine's current catalog generation to w in
 // the versioned snapshot format and returns the snapshot id. The write
 // captures one consistent generation: concurrent Optimize traffic is
 // unaffected, and a concurrent UpdateCatalog simply lands in the generation
-// before or after the capture. Engines outside the default retrieval stack
-// (closure, grouping, index or interning disabled, custom source) cannot be
-// snapshotted.
+// before or after the capture.
 func (e *Engine) SaveSnapshot(w io.Writer) (uint64, error) {
-	m, err := e.snapshotModel(0)
-	if err != nil {
-		return 0, err
-	}
-	data, id, err := snapshot.Encode(m)
+	data, id, err := snapshot.Encode(e.snapshotModel(0))
 	if err != nil {
 		return 0, err
 	}
@@ -181,11 +164,7 @@ func (e *Engine) SaveSnapshot(w io.Writer) (uint64, error) {
 // rename into place — a crash mid-write never leaves a torn snapshot where
 // a boot would look for one.
 func (e *Engine) WriteSnapshotFile(path string) (uint64, error) {
-	m, err := e.snapshotModel(0)
-	if err != nil {
-		return 0, err
-	}
-	data, id, err := snapshot.Encode(m)
+	data, id, err := snapshot.Encode(e.snapshotModel(0))
 	if err != nil {
 		return 0, err
 	}

@@ -114,8 +114,7 @@ type BootReport struct {
 //
 // cat is the declared catalog to cold-build from (also the first-boot
 // path, when the directory is empty). opts apply to the engine either way;
-// they must not include WithCatalog, WithConstraintSource, WithSnapshot or
-// any option leaving the default retrieval stack.
+// they must not include WithCatalog or WithSnapshot.
 //
 // Warm restore refuses — and falls back to a cold build — on: a missing,
 // truncated or checksum-failing snapshot; a snapshot format-version or
@@ -132,11 +131,8 @@ func (s *SnapshotStore) Boot(sch *Schema, cat *Catalog, opts ...EngineOption) (*
 	for _, o := range opts {
 		o(&probe)
 	}
-	if probe.catalog != nil || probe.source != nil || probe.snap != nil {
+	if probe.catalog != nil || probe.snap != nil {
 		return nil, BootReport{}, errors.New("sqo: Boot options must not choose a catalog source; pass the catalog as the Boot argument")
-	}
-	if probe.closure || probe.grouping || probe.noIndex || probe.noIntern || probe.core.DisableInterning {
-		return nil, BootReport{}, errors.New("sqo: snapshot store requires the default retrieval stack (no closure or grouping, index and interning on)")
 	}
 
 	eng, rep, err := s.tryWarm(sch, opts)
@@ -326,10 +322,7 @@ func (s *SnapshotStore) WriteSnapshot(e *Engine) error {
 // journal rotates, so the only crash window leaves new-snapshot +
 // old-journal — which Boot detects by the seq gap and ignores.
 func (s *SnapshotStore) writeSnapshotLocked(e *Engine) error {
-	m, err := e.snapshotModel(s.seq + 1)
-	if err != nil {
-		return err
-	}
+	m := e.snapshotModel(s.seq + 1)
 	data, id, err := snapshot.Encode(m)
 	if err != nil {
 		return err

@@ -127,9 +127,7 @@ func runSnapshotDifferential(t *testing.T, label string, sch *sqo.Schema, cat *s
 }
 
 // TestSnapshotConfigErrors pins the construction-time refusals: WithSnapshot
-// conflicts with other catalog sources, requires the default retrieval
-// stack, and enforces the schema-hash binding; SaveSnapshot refuses engines
-// whose serving state a snapshot cannot represent.
+// conflicts with WithCatalog and enforces the schema-hash binding.
 func TestSnapshotConfigErrors(t *testing.T) {
 	sch := sqo.LogisticsSchema()
 	cat := sqo.LogisticsConstraints()
@@ -146,15 +144,8 @@ func TestSnapshotConfigErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, opts := range map[string][]sqo.EngineOption{
-		"with catalog": {sqo.WithSnapshot(snap), sqo.WithCatalog(cat)},
-		"with closure": {sqo.WithSnapshot(snap), sqo.WithClosure(sqo.ClosureOptions{})},
-		"no index":     {sqo.WithSnapshot(snap), sqo.WithConstraintIndex(false)},
-		"grouping":     {sqo.WithSnapshot(snap), sqo.WithGrouping(sqo.GroupLeastAccessed)},
-	} {
-		if _, err := sqo.NewEngine(sch, opts...); err == nil {
-			t.Errorf("%s: NewEngine accepted an invalid snapshot configuration", name)
-		}
+	if _, err := sqo.NewEngine(sch, sqo.WithSnapshot(snap), sqo.WithCatalog(cat)); err == nil {
+		t.Error("NewEngine accepted WithSnapshot together with WithCatalog")
 	}
 
 	// Schema binding: the same snapshot against a different schema.
@@ -165,15 +156,6 @@ func TestSnapshotConfigErrors(t *testing.T) {
 	if _, err := sqo.NewEngine(other, sqo.WithSnapshot(snap)); err == nil ||
 		!strings.Contains(err.Error(), "schema") {
 		t.Errorf("schema mismatch: err = %v, want schema-hash refusal", err)
-	}
-
-	// Engines whose serving state is not the default stack cannot save.
-	closed, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithClosure(sqo.ClosureOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := closed.SaveSnapshot(&buf); err == nil {
-		t.Error("SaveSnapshot accepted a closure engine")
 	}
 }
 
@@ -362,25 +344,17 @@ func scratchEngine(t *testing.T, sch *sqo.Schema, cat *sqo.Catalog) *sqo.Engine 
 	return eng
 }
 
-// TestSnapshotStoreRejectsBadOptions pins Boot's option validation: catalog
-// sources and non-default retrieval stacks are configuration errors, not
-// cold-boot fallbacks.
+// TestSnapshotStoreRejectsBadOptions pins Boot's option validation: a
+// catalog source among the options is a configuration error, not a
+// cold-boot fallback.
 func TestSnapshotStoreRejectsBadOptions(t *testing.T) {
-	sch := sqo.LogisticsSchema()
 	cat := sqo.LogisticsConstraints()
-	for name, opts := range map[string][]sqo.EngineOption{
-		"catalog option": {sqo.WithCatalog(cat)},
-		"closure":        {sqo.WithClosure(sqo.ClosureOptions{})},
-		"grouping":       {sqo.WithGrouping(sqo.GroupLeastAccessed)},
-		"no index":       {sqo.WithConstraintIndex(false)},
-	} {
-		store, err := sqo.OpenSnapshotStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := store.Boot(sch, cat, opts...); err == nil {
-			t.Errorf("%s: Boot accepted an invalid option set", name)
-		}
+	store, err := sqo.OpenSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Boot(sqo.LogisticsSchema(), cat, sqo.WithCatalog(cat)); err == nil {
+		t.Error("Boot accepted a catalog option")
 	}
 }
 
@@ -485,7 +459,7 @@ func TestSnapshotRestoredCachedHitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := saveRestore(t, eng, sch, sqo.WithResultCache(64))
+	restored := saveRestore(t, eng, sch, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	ctx := context.Background()
 	q := sqo.NewQuery("driver").
 		AddProject("driver", "name").
@@ -501,7 +475,7 @@ func TestSnapshotRestoredCachedHitZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cached Optimize on a restored engine = %.1f allocs/op, want 0", allocs)
 	}
-	if restored.Stats().CacheHits == 0 {
+	if restored.Stats().Cache.Hits() == 0 {
 		t.Fatal("no cache hits recorded; the zero-alloc check measured the wrong path")
 	}
 }

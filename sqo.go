@@ -35,8 +35,8 @@
 //	res, err := eng.Optimize(ctx, q)
 //
 // The Engine (engine_api.go) is the production entry point: a long-lived,
-// concurrency-safe handle that wires closure materialization, grouped
-// retrieval, the optimizer and the cost model together once, serves
+// concurrency-safe handle that compiles the catalog into an interned symbol
+// space and an inverted constraint index once per generation, serves
 // Optimize/OptimizeBatch under context cancellation, caches results by
 // canonical query fingerprint, and mutates constraint catalogs under live
 // traffic — atomically wholesale (SwapCatalog) or incrementally in
@@ -242,9 +242,8 @@ type (
 	// ConstraintIndex is an immutable inverted index over a constraint
 	// catalog: class posting lists for applicable-constraint retrieval
 	// plus (class, attribute, predicate kind)-keyed postings with
-	// operator-interval filtering. Safe for unbounded concurrent use; it
-	// implements ConstraintSource. Engines build one per catalog
-	// generation by default (WithConstraintIndex).
+	// operator-interval filtering. Safe for unbounded concurrent use.
+	// Engines build one per catalog generation.
 	ConstraintIndex = index.Index
 	// IndexStats describes the shape of a built ConstraintIndex.
 	IndexStats = index.Stats
@@ -257,9 +256,7 @@ func NewConstraintIndex(cat *Catalog) *ConstraintIndex { return index.New(cat) }
 
 // The optimizer (the paper's contribution).
 type (
-	// Optimizer is the semantic query optimizer.
-	Optimizer = core.Optimizer
-	// Options configures an Optimizer.
+	// Options configures the optimizer an Engine runs (WithOptimizerOptions).
 	Options = core.Options
 	// Result is one optimization outcome: query, tags, trace, stats.
 	Result = core.Result
@@ -269,10 +266,6 @@ type (
 	RuleSet = core.RuleSet
 	// Transformation is one trace entry.
 	Transformation = core.Transformation
-	// CatalogSource adapts a Catalog into a constraint source.
-	CatalogSource = core.CatalogSource
-	// ConstraintSource supplies relevant constraints per query.
-	ConstraintSource = core.ConstraintSource
 	// CostModelInterface is what formulation needs from a cost model.
 	CostModelInterface = core.CostModel
 	// HeuristicCost is the statistics-free fallback cost model.
@@ -293,16 +286,6 @@ const (
 	RuleClassElimination = core.RuleClassElimination
 	AllRules             = core.AllRules
 )
-
-// NewOptimizer builds a bare optimizer over a schema and constraint source.
-//
-// Deprecated: NewOptimizer is the one-shot construction path kept for
-// compatibility. New code should build a long-lived Engine with NewEngine,
-// which adds context cancellation, concurrent batch serving, result caching
-// and atomic catalog hot-swap on top of the same algorithm.
-func NewOptimizer(s *Schema, src ConstraintSource, opts Options) *Optimizer {
-	return core.NewOptimizer(s, src, opts)
-}
 
 // Storage, execution and costing substrate.
 type (

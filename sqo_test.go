@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sqo"
+	"sqo/internal/core"
 )
 
 // figure23 builds the paper's running example through the public API only.
@@ -51,7 +52,7 @@ func figure23(t *testing.T) (*sqo.Schema, *sqo.Catalog, *sqo.Query) {
 // through the facade, with the default (heuristic) cost model.
 func TestQuickstartFigure23(t *testing.T) {
 	sch, cat, q := figure23(t)
-	opt := sqo.NewOptimizer(sch, sqo.CatalogSource{Catalog: cat}, sqo.Options{})
+	opt := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, sqo.Options{})
 	res, err := opt.Optimize(q)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
@@ -305,8 +306,8 @@ func TestOptimizeThenExecuteDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		model := sqo.NewCostModel(db.Schema(), db.Analyze(), sqo.DefaultWeights)
-		opt := sqo.NewOptimizer(db.Schema(),
-			sqo.CatalogSource{Catalog: sqo.LogisticsConstraints()},
+		opt := core.NewOptimizer(db.Schema(),
+			core.CatalogSource{Catalog: sqo.LogisticsConstraints()},
 			sqo.Options{Cost: model})
 		gen := sqo.NewWorkloadGenerator(db, sqo.LogisticsConstraints(), sqo.WorkloadOptions{Seed: 5})
 		qs, err := gen.Workload(5)

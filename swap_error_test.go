@@ -25,7 +25,7 @@ func invalidCatalog() *sqo.Catalog {
 // untouched — the failed swap is observable only through its error.
 func TestSwapCatalogErrorKeepsServing(t *testing.T) {
 	eng, err := sqo.NewEngine(datagen.Schema(),
-		sqo.WithCatalog(datagen.Constraints()), sqo.WithResultCache(64))
+		sqo.WithCatalog(datagen.Constraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,8 @@ func TestSwapCatalogErrorKeepsServing(t *testing.T) {
 	if after.CatalogSwaps != before.CatalogSwaps {
 		t.Fatal("failed swap counted as a successful one")
 	}
-	if after.CacheSize != before.CacheSize {
-		t.Fatalf("failed swap disturbed the cache: %d -> %d entries", before.CacheSize, after.CacheSize)
+	if after.Cache.Size != before.Cache.Size {
+		t.Fatalf("failed swap disturbed the cache: %d -> %d entries", before.Cache.Size, after.Cache.Size)
 	}
 	if eng.Catalog() != catBefore {
 		t.Fatal("failed swap replaced the declared catalog")
@@ -65,7 +65,7 @@ func TestSwapCatalogErrorKeepsServing(t *testing.T) {
 	if got != want {
 		t.Fatal("cache entry was not served after the failed swap (new result instance)")
 	}
-	if eng.Stats().CacheHits != before.CacheHits+1 {
+	if eng.Stats().Cache.Hits() != before.Cache.Hits()+1 {
 		t.Fatal("post-failure Optimize did not hit the cache")
 	}
 }
@@ -80,7 +80,7 @@ func TestSwapCatalogErrorOptimizeRace(t *testing.T) {
 	catB := sqo.MustCatalog(catA.All()[:8]...)
 	bad := invalidCatalog()
 
-	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(catA), sqo.WithResultCache(64))
+	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(catA), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestSwapCatalogOptimizeRace(t *testing.T) {
 		t.Fatal("probe workload cannot distinguish the two catalogs; the race assertion would be vacuous")
 	}
 
-	e, err := sqo.NewEngine(sch, sqo.WithCatalog(catA), sqo.WithResultCache(64))
+	e, err := sqo.NewEngine(sch, sqo.WithCatalog(catA), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Command sqod is the optimizer as a network service: a long-lived HTTP
-// daemon over one sqo.Engine, with request-coalescing micro-batching,
-// per-request deadlines, latency accounting, and a connection-draining
-// graceful shutdown on SIGINT/SIGTERM.
+// daemon over one sqo.Engine, with admission control, per-request
+// deadlines, latency accounting, and a connection-draining graceful
+// shutdown on SIGINT/SIGTERM. Each POST /optimize is one Engine.Optimize
+// call; POST /optimize/batch fans a client-assembled batch out over the
+// engine's worker pool.
 //
 // By default it serves the paper's logistics evaluation world (schema,
 // constraint catalog, and a DB1-statistics cost model); -schema and
@@ -31,7 +33,7 @@
 // Usage:
 //
 //	sqod                               # logistics world on :7411
-//	sqod -addr :9000 -batch-window 5ms -cache 8192
+//	sqod -addr :9000 -cache 8192
 //	sqod -schema world.txt -constraints rules.txt -db ""
 //	sqod -snapshot-dir /var/lib/sqod
 package main
@@ -64,8 +66,6 @@ var (
 	cacheCanon  = flag.Bool("cache-canon", false, "key the result cache by canonical query form (near-duplicates collapse onto one entry)")
 	cacheSub    = flag.Bool("cache-subsume", false, "answer contained queries from cached generalizations (implies -cache-canon; degrades to canonical-only under a statistics cost model)")
 	workers     = flag.Int("workers", 0, "batch worker pool width (0 = GOMAXPROCS)")
-	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window (0 disables coalescing)")
-	batchLimit  = flag.Int("batch-limit", 0, "max coalesced requests per dispatch (0 = auto: max(4, 2x workers))")
 	reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "default per-request deadline")
 	maxTimeout  = flag.Duration("max-timeout", time.Minute, "cap on client-supplied timeout_ms")
 	drain       = flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
@@ -119,8 +119,6 @@ func run(logger *slog.Logger) error {
 	}
 	srv, err := server.New(server.Config{
 		Engine:          eng,
-		BatchWindow:     *batchWindow,
-		BatchLimit:      *batchLimit,
 		RequestTimeout:  *reqTimeout,
 		MaxTimeout:      *maxTimeout,
 		MaxConcurrent:   *maxConcurrent,
@@ -150,7 +148,6 @@ func run(logger *slog.Logger) error {
 		logger.Info("serving",
 			"addr", *addr, "workers", eng.Workers(), "cache", *cacheSize,
 			"canon", cst.Canonicalize, "subsume", cst.Subsume,
-			"batching", srv.Batching(), "window", *batchWindow,
 			"trace_sample", *traceSample, "slow_query", *slowQuery)
 		errCh <- httpSrv.ListenAndServe()
 	}()
@@ -164,7 +161,7 @@ func run(logger *slog.Logger) error {
 	}
 
 	// Graceful shutdown: flip readiness so load balancers route away, stop
-	// accepting, drain in-flight connections, then flush the micro-batcher.
+	// accepting, drain in-flight connections, then stop the monitor.
 	logger.Info("shutdown: draining", "budget", *drain)
 	srv.StartDraining()
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)

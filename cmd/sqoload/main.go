@@ -97,6 +97,9 @@ func transient(status int) bool {
 	return status == 0 || status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 }
 
+// is2xx reports a 2xx status.
+func is2xx(status int) bool { return status >= 200 && status <= 299 }
+
 // kindSummary aggregates one traffic kind for the report.
 type kindSummary struct {
 	Requests int   `json:"requests"`
@@ -229,6 +232,9 @@ func run() error {
 		}(c)
 	}
 
+	// The swap goes through the mutator, which serializes it against the
+	// -mutate deltas.
+	mut := newMutator(client, base, *seed, *mutateEvery)
 	if *swap {
 		wg.Add(1)
 		go func() {
@@ -236,15 +242,12 @@ func run() error {
 			rng := rand.New(rand.NewSource(*seed ^ 0x5eed))
 			select {
 			case <-time.After(*duration / 2):
-				record(sendSwap(client, rng, base))
+				record(mut.swap(rng))
 			case <-waitDone(&stop):
 			}
 		}()
 	}
-
-	var mut *mutator
 	if *mutate {
-		mut = &mutator{client: client, base: base, rng: rand.New(rand.NewSource(*seed ^ 0x30d1f))}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -270,7 +273,7 @@ func run() error {
 			sum.Cache = &d
 		}
 	}
-	if mut != nil {
+	if *mutate {
 		sum.Updates = mut.sent
 		if rate, ok := mut.hitRate(client, base); ok {
 			sum.PostMutationHitRate = &rate
@@ -571,27 +574,40 @@ func sendQuery(client *http.Client, rng *rand.Rand, base, query string) sample {
 	return post(client, rng, base+"/query", map[string]any{"query": query}, "query")
 }
 
-// mutator drives the incremental-update traffic of -mutate: every
+// mutator owns the run's catalog writes. Under -mutate, every
 // -mutate-interval it POSTs one small /catalog/update delta, alternating
 // between adding a fresh synthetic intra-class vehicle rule and removing it
 // again, so the catalog size stays bounded while every delta is a real
-// generation change. Before the first delta it snapshots the engine's cache
+// generation change. The -swap request goes through it too: a swap
+// reinstalls the plain logistics catalog, which drops the live synthetic
+// rule, so the next delta must add a fresh rule instead of removing one
+// that is gone. Before the first delta it snapshots the engine's cache
 // counters, so the run can report the post-mutation hit-rate — how much of
 // the cache the surgical invalidation kept alive.
 type mutator struct {
 	client *http.Client
 	base   string
 	rng    *rand.Rand
-	sent   int
-	seq    int
+	every  time.Duration
+
+	// mu serializes deltas and the swap from request to response, so
+	// live always matches the daemon's catalog.
+	mu   sync.Mutex
+	live bool // zload<seq> is in the daemon's catalog
+	seq  int
+	sent int
 
 	baseline  cacheCounters
 	baselined bool
 }
 
+func newMutator(client *http.Client, base string, seed int64, every time.Duration) *mutator {
+	return &mutator{client: client, base: base, rng: rand.New(rand.NewSource(seed ^ 0x30d1f)), every: every}
+}
+
 func (m *mutator) run(stop *atomic.Bool, record func(sample)) {
 	for !stop.Load() {
-		time.Sleep(*mutateEvery)
+		time.Sleep(m.every)
 		if stop.Load() {
 			return
 		}
@@ -600,18 +616,41 @@ func (m *mutator) run(stop *atomic.Bool, record func(sample)) {
 				m.baseline, m.baselined = ctrs, true
 			}
 		}
-		var body map[string]any
-		if m.sent%2 == 0 {
-			m.seq++
-			line := fmt.Sprintf("zload%d: vehicle.desc = %q -> vehicle.capacity <= %d",
-				m.seq, fmt.Sprintf("load-mut-%d", m.seq), 100+m.seq)
-			body = map[string]any{"add": []string{line}}
-		} else {
-			body = map[string]any{"remove": []string{fmt.Sprintf("zload%d", m.seq)}}
-		}
-		record(post(m.client, m.rng, m.base+"/catalog/update", body, "update"))
-		m.sent++
+		record(m.step())
 	}
+}
+
+// step sends one delta: it removes the live synthetic rule, or adds a
+// fresh one when none is live.
+func (m *mutator) step() sample {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var body map[string]any
+	if m.live {
+		body = map[string]any{"remove": []string{fmt.Sprintf("zload%d", m.seq)}}
+	} else {
+		m.seq++
+		line := fmt.Sprintf("zload%d: vehicle.desc = %q -> vehicle.capacity <= %d",
+			m.seq, fmt.Sprintf("load-mut-%d", m.seq), 100+m.seq)
+		body = map[string]any{"add": []string{line}}
+	}
+	s := post(m.client, m.rng, m.base+"/catalog/update", body, "update")
+	if is2xx(s.status) {
+		m.live = !m.live
+	}
+	m.sent++
+	return s
+}
+
+// swap sends the -swap request; once it succeeds no synthetic rule is live.
+func (m *mutator) swap(rng *rand.Rand) sample {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := sendSwap(m.client, rng, m.base)
+	if is2xx(s.status) {
+		m.live = false
+	}
+	return s
 }
 
 // hitRate reports the engine's cache hit-rate since the first delta.
@@ -777,7 +816,7 @@ func summarize(samples []sample, elapsed time.Duration) summary {
 		k.Sheds += s.sheds
 		sum.Retries += s.retries
 		sum.Sheds += s.sheds
-		if s.status < 200 || s.status > 299 {
+		if !is2xx(s.status) {
 			k.Non2xx++
 			sum.Non2xx++
 			if transient(s.status) {

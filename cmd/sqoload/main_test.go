@@ -1,9 +1,16 @@
 package main
 
 import (
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sqo"
+	"sqo/internal/server"
 )
 
 func TestPercentileNearestRank(t *testing.T) {
@@ -84,5 +91,84 @@ func TestSummarize(t *testing.T) {
 	}
 	if len(sum.Kinds) != 5 {
 		t.Errorf("kinds = %v, want single, batch, query, swap, update", sum.Kinds)
+	}
+}
+
+// logisticsDaemon serves the logistics world from an in-process server, the
+// catalog sqoload's -swap reinstalls and its -mutate rules extend.
+func logisticsDaemon(t *testing.T) string {
+	t.Helper()
+	eng, err := sqo.NewEngine(sqo.LogisticsSchema(), sqo.WithCatalog(sqo.LogisticsConstraints()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(server.Config{Engine: eng, MonitorInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return ts.URL
+}
+
+// TestSwapBetweenDeltas lands the -swap between a delta's add and its
+// remove: the swap drops the added rule, so the mutator must add a fresh
+// rule next rather than remove one the daemon no longer has.
+func TestSwapBetweenDeltas(t *testing.T) {
+	base := logisticsDaemon(t)
+	m := newMutator(&http.Client{Timeout: 5 * time.Second}, base, 1, time.Millisecond)
+	rng := rand.New(rand.NewSource(1))
+	for i, s := range []sample{m.step(), m.swap(rng), m.step(), m.step(), m.step()} {
+		if !is2xx(s.status) {
+			t.Fatalf("write %d (%s) = %d, want 2xx", i, s.kind, s.status)
+		}
+	}
+	if m.seq != 3 || !m.live {
+		t.Fatalf("after add, swap, add, remove, add: seq %d live %v, want zload3 live", m.seq, m.live)
+	}
+}
+
+// TestSwapRacesMutator runs the -mutate loop flat out while swaps land at
+// arbitrary points, as sqoload -swap -mutate does; every write must be 2xx.
+func TestSwapRacesMutator(t *testing.T) {
+	base := logisticsDaemon(t)
+	client := &http.Client{Timeout: 5 * time.Second}
+	m := newMutator(client, base, 1, time.Millisecond)
+
+	var mu sync.Mutex
+	var got []sample
+	record := func(s sample) {
+		mu.Lock()
+		got = append(got, s)
+		mu.Unlock()
+	}
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.run(&stop, record)
+	}()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		time.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
+		record(m.swap(rng))
+	}
+	stop.Store(true)
+	<-done
+
+	updates := 0
+	for i, s := range got {
+		if !is2xx(s.status) {
+			t.Fatalf("write %d (%s) = %d, want 2xx", i, s.kind, s.status)
+		}
+		if s.kind == "update" {
+			updates++
+		}
+	}
+	if updates == 0 {
+		t.Fatal("the mutator sent no deltas")
 	}
 }

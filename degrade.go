@@ -19,8 +19,7 @@ import (
 // optimizations only — subsumption probing at LevelNoSubsume and above,
 // canonical cache keying at LevelNoCanon and above — never semantic
 // transformations, so every level answers byte-identically to LevelFull;
-// what changes is how much work a response costs. LevelNoCoalesce has no
-// engine-side effect (micro-batch coalescing lives in the serving layer).
+// what changes is how much work a response costs.
 func (e *Engine) SetDegradation(level int) {
 	if level < resilience.LevelFull {
 		level = resilience.LevelFull

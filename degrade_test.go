@@ -71,7 +71,7 @@ func answerOf(r *sqo.Result) degradeAnswer {
 // engine serving the same request. Two reference points cover the ladder's
 // two keying regimes — levels 0 and 1 both optimize the canonical form (so
 // level 1 must match the full level-0 engine exactly, subsumption hits and
-// all), while levels 2 and 3 optimize the raw form (so they must match a
+// all), while level 2 optimizes the raw form (so it must match a
 // cacheless cold engine exactly). Either way the client sees an exact cold
 // answer; what degrades is only what the answer costs.
 func TestDegradationDifferential(t *testing.T) {
@@ -81,7 +81,7 @@ func TestDegradationDifferential(t *testing.T) {
 	canonWant := replayAnswers(t, "level-0 baseline", sch, cat, stream, 0, cc)
 	exactWant := replayRef(t, sch, cat, stream, sqo.CacheConfig{Capacity: 4096})
 
-	for level := 1; level <= 3; level++ {
+	for level := 1; level <= 2; level++ {
 		want := canonWant
 		ref := "level 0"
 		if level >= 2 {
@@ -165,7 +165,7 @@ func TestDegradationMidFlightToggle(t *testing.T) {
 	cc := sqo.WithCache(sqo.CacheConfig{Capacity: 4096, Subsume: true})
 
 	// The two honest answer sets: the canonical-path answer (levels 0-1)
-	// and the exact-cache-path answer (levels 2-3). A mid-flight toggle may
+	// and the exact-cache-path answer (level 2). A mid-flight toggle may
 	// serve either — a raw-keyed lookup can legitimately land on a
 	// canonical-keyed entry, but only when the two forms share a fingerprint,
 	// in which case the entry is the canonical answer of the same request.
@@ -205,8 +205,8 @@ func TestDegradationMidFlightToggle(t *testing.T) {
 
 	// Out-of-range pins clamp instead of corrupting the gate comparisons.
 	eng.SetDegradation(99)
-	if got := eng.DegradationLevel(); got != 3 {
-		t.Fatalf("SetDegradation(99) pinned level %d, want clamp to 3", got)
+	if got := eng.DegradationLevel(); got != 2 {
+		t.Fatalf("SetDegradation(99) pinned level %d, want clamp to 2", got)
 	}
 	eng.SetDegradation(-4)
 	if got := eng.DegradationLevel(); got != 0 {

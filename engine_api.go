@@ -462,53 +462,6 @@ feed:
 	return results, nil
 }
 
-// OptimizeEach optimizes every query of qs concurrently on the engine's
-// worker pool, like OptimizeBatch, but isolates failures per query: the
-// returned slices are positionally aligned with qs, and a query that fails
-// records its error in errs[i] without cancelling its siblings. This is the
-// contract a serving layer needs when it coalesces requests from unrelated
-// clients into one dispatch — one malformed query must not fail the whole
-// micro-batch. Cancelling ctx still stops the call as a whole; queries not
-// yet started when ctx is done report ctx.Err().
-func (e *Engine) OptimizeEach(ctx context.Context, qs []*Query) ([]*Result, []error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	results := make([]*Result, len(qs))
-	errs := make([]error, len(qs))
-	workers := min(e.cfg.workers, len(qs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = e.Optimize(ctx, qs[i])
-			}
-		}()
-	}
-feed:
-	for i := range qs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// Mark the queries the cut-short feed never handed out.
-		for i := range qs {
-			if results[i] == nil && errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return results, errs
-}
-
 // SwapCatalog atomically replaces the engine's declared constraint catalog:
 // the symbol space and constraint index are rebuilt off to the side, then
 // published with a single pointer store. In-flight optimizations finish
@@ -712,9 +665,7 @@ type UpdateReport struct {
 func (e *Engine) Schema() *Schema { return e.schema }
 
 // Workers returns the resolved width of the batch worker pool — WithWorkers,
-// or GOMAXPROCS at construction when unset. Serving layers use it to size
-// their own dispatch structures (e.g. a micro-batch that exceeds it only
-// queues inside the engine).
+// or GOMAXPROCS at construction when unset.
 func (e *Engine) Workers() int { return e.cfg.workers }
 
 // Catalog returns the currently declared catalog. For a delta-built or

@@ -368,46 +368,6 @@ func TestEngineBatchError(t *testing.T) {
 	}
 }
 
-// TestEngineOptimizeEach: unlike OptimizeBatch, OptimizeEach isolates
-// failures per query — one invalid member yields its own error while its
-// siblings return results, the contract the serving layer's micro-batcher
-// depends on.
-func TestEngineOptimizeEach(t *testing.T) {
-	db, cat, model, workload := engineWorld(t, 4)
-	eng, err := sqo.NewEngine(db.Schema(), sqo.WithCatalog(cat), sqo.WithCostModel(model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := append(append([]*sqo.Query(nil), workload...), sqo.NewQuery("nosuchclass"))
-	results, errs := eng.OptimizeEach(context.Background(), qs)
-	if len(results) != len(qs) || len(errs) != len(qs) {
-		t.Fatalf("got %d results / %d errors, want %d each", len(results), len(errs), len(qs))
-	}
-	for i := range workload {
-		if errs[i] != nil || results[i] == nil {
-			t.Errorf("query %d: res=%v err=%v, want success", i, results[i], errs[i])
-		}
-	}
-	last := len(qs) - 1
-	if errs[last] == nil || results[last] != nil {
-		t.Errorf("invalid query: res=%v err=%v, want isolated error", results[last], errs[last])
-	}
-
-	if res, errs := eng.OptimizeEach(context.Background(), nil); res != nil || errs != nil {
-		t.Error("empty input should return nil slices")
-	}
-
-	// A cancelled context marks every unstarted query with ctx.Err().
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, errs = eng.OptimizeEach(ctx, workload)
-	for i := range workload {
-		if results[i] == nil && errs[i] == nil {
-			t.Errorf("query %d: neither result nor error after cancellation", i)
-		}
-	}
-}
-
 // TestEngineDefaultDeadline: WithDefaultDeadline bounds deadline-less calls
 // without touching contexts that already carry one.
 func TestEngineDefaultDeadline(t *testing.T) {

@@ -98,17 +98,7 @@ func New(id string, antecedents []predicate.Predicate, links []string, consequen
 // and must treat them as frozen afterwards.
 func Restore(id, doc string, antecedents []predicate.Predicate, links []string,
 	consequent predicate.Predicate, stateDependent bool, kind Kind, classes []string, key string) *Constraint {
-	c := new(Constraint)
-	RestoreInto(c, id, doc, antecedents, links, consequent, stateDependent, kind, classes, key)
-	return c
-}
-
-// RestoreInto is Restore writing into caller-owned storage, so a bulk
-// decoder can restore a whole catalog into one arena allocation instead of
-// one heap object per constraint.
-func RestoreInto(c *Constraint, id, doc string, antecedents []predicate.Predicate, links []string,
-	consequent predicate.Predicate, stateDependent bool, kind Kind, classes []string, key string) {
-	*c = Constraint{
+	return &Constraint{
 		ID:             id,
 		Doc:            doc,
 		Antecedents:    antecedents,

@@ -227,7 +227,7 @@ func (s *State) Commit(p Plan, addedOrds []int32) {
 // frozen ordinal space plus its tombstone set. Engines publish one per
 // generation; Constraints materializes the live catalog order on demand.
 type Gen struct {
-	all  []*constraint.Constraint
+	all  constraint.Ordinals
 	dead []bool
 	live int
 }
@@ -237,7 +237,7 @@ type Gen struct {
 // so later commits cannot disturb published generations.
 func (s *State) Snapshot() *Gen {
 	return &Gen{
-		all:  s.all,
+		all:  constraint.OrdinalsOf(s.all),
 		dead: append([]bool(nil), s.dead...),
 		live: s.live,
 	}
@@ -247,8 +247,8 @@ func (s *State) Snapshot() *Gen {
 // the snapshot layer's entry point into a lineage. all is aliased (the
 // ordinal space is append-only from here on); dead is copied. A nil dead
 // means every ordinal is live.
-func NewGen(all []*constraint.Constraint, dead []bool) *Gen {
-	g := &Gen{all: all, dead: make([]bool, len(all)), live: len(all)}
+func NewGen(all constraint.Ordinals, dead []bool) *Gen {
+	g := &Gen{all: all, dead: make([]bool, all.Len()), live: all.Len()}
 	for i, d := range dead {
 		if d {
 			g.dead[i] = true
@@ -261,18 +261,19 @@ func NewGen(all []*constraint.Constraint, dead []bool) *Gen {
 // Ordinals exposes the generation's full ordinal space and tombstone set,
 // both aliased — callers must treat them as read-only. Snapshot writers use
 // this to persist tombstones in place rather than compacting them away.
-func (g *Gen) Ordinals() ([]*constraint.Constraint, []bool) {
+func (g *Gen) Ordinals() (constraint.Ordinals, []bool) {
 	return g.all, g.dead
 }
 
 // NewStateFromGen seeds mutation-side bookkeeping from a published
 // generation, so a lineage can continue from a restored snapshot exactly
-// where the saved lineage left off. The ordinal space is re-aliased
-// copy-on-append (Commit appends, never mutates in place, so the generation
-// stays frozen); the live maps are rebuilt in O(ordinals).
+// where the saved lineage left off. The ordinal space is copied out in full
+// (building whatever a lazy restore has not built yet) and grows by append
+// from there, so the generation stays frozen; the live maps are rebuilt in
+// O(ordinals).
 func NewStateFromGen(g *Gen) *State {
 	s := &State{
-		all:   g.all[:len(g.all):len(g.all)],
+		all:   g.all.Slice(),
 		dead:  append([]bool(nil), g.dead...),
 		live:  g.live,
 		byID:  make(map[string]int32, g.live),
@@ -293,9 +294,9 @@ func (g *Gen) Live() int { return g.live }
 // Constraints returns the generation's live constraints in catalog order.
 func (g *Gen) Constraints() []*constraint.Constraint {
 	out := make([]*constraint.Constraint, 0, g.live)
-	for i, c := range g.all {
-		if !g.dead[i] {
-			out = append(out, c)
+	for i, d := range g.dead {
+		if !d {
+			out = append(out, g.all.At(i))
 		}
 	}
 	return out

@@ -3,21 +3,15 @@
 //
 // Everything an Index holds is already map-free (posting lists, requirement
 // sets, home assignments — all dense arrays), so the image is mostly a CSR
-// flattening of the nested slices. Two things are deliberately *not*
-// serialized: per-ordinal link sets (aliased from the constraints at
-// restore, exactly as Build aliases them) and the interval annotations of
-// the attribute postings (recomputed from the antecedent predicates — they
-// contain interned values whose encoding would dwarf the two ints they
-// annotate). Tombstoned ordinals get empty classIDs rows in the image even
-// when the source index still carries their stale rows (a patched index
-// never clears them), which is the invariant NewLineage depends on when a
-// restored generation takes its first delta.
+// flattening of the nested slices. The per-ordinal link sets are not
+// serialized here: the snapshot stores them with the constraints and hands
+// them back at restore. Tombstoned ordinals get empty classIDs rows in the
+// image even when the source index still carries their stale rows (a
+// patched index never clears them), which is the invariant NewLineage
+// depends on when a restored generation takes its first delta.
 package index
 
 import (
-	"runtime"
-	"sync"
-
 	"sqo/internal/constraint"
 	"sqo/internal/symtab"
 )
@@ -91,26 +85,23 @@ func (ix *Index) Image(dead []bool) *Image {
 	img.AttrPoss = make([]int32, 0, total)
 	for i, row := range ix.attrRows {
 		for _, p := range row {
-			img.AttrOrds = append(img.AttrOrds, int32(p.ord))
-			img.AttrPoss = append(img.AttrPoss, int32(p.pos))
+			img.AttrOrds = append(img.AttrOrds, p.ord)
+			img.AttrPoss = append(img.AttrPoss, p.pos)
 		}
 		img.AttrOffsets[i+1] = int32(len(img.AttrOrds))
 	}
 	return img
 }
 
-// FromImage rebuilds an Index over the restored ordinal space and symbol
-// table. Rows are sliced out of the flat arrays without copying; interval
-// annotations are recomputed from the antecedents (in parallel — they are
-// the one per-posting construction cost of the restore path). ivAt, when
-// non-nil, supplies the interval of posting (ord, pos) from a table the
-// caller deduplicated per distinct predicate, skipping the per-posting
-// recompute. dead marks tombstoned ordinals, whose link rows stay nil. ok
-// is false on structurally inconsistent offsets; semantic integrity is
-// vouched for by the snapshot layer's checksums.
-func FromImage(img *Image, all []*constraint.Constraint, dead []bool, syms *symtab.Table, ivAt func(ord, pos int) Interval) (*Index, bool) {
-	nOrds := len(all)
-	if len(img.HomeOf) != nOrds || len(img.CIDOffsets) != nOrds+1 ||
+// FromImage rebuilds an Index over the restored ordinal space, its
+// per-ordinal link sets and symbol table. Rows are sliced out of the flat
+// arrays without copying, and no constraint is touched, so a lazily
+// restored ordinal space stays unbuilt until serving asks for it. ok is
+// false on structurally inconsistent offsets or postings; semantic
+// integrity is vouched for by the snapshot layer's checksums.
+func FromImage(img *Image, all constraint.Ordinals, links [][]string, syms *symtab.Table) (*Index, bool) {
+	nOrds := all.Len()
+	if len(img.HomeOf) != nOrds || len(links) != nOrds || len(img.CIDOffsets) != nOrds+1 ||
 		len(img.ClassOffsets) != syms.NumClasses()+1 || len(img.AttrOffsets) != syms.NumSigs()+1 ||
 		len(img.AttrPoss) != len(img.AttrOrds) {
 		return nil, false
@@ -121,6 +112,7 @@ func FromImage(img *Image, all []*constraint.Constraint, dead []bool, syms *symt
 		live:         img.Live,
 		parked:       img.Parked,
 		homeOf:       img.HomeOf,
+		links:        links,
 		attrNonEmpty: img.AttrNonEmpty,
 		maxPosting:   img.MaxPosting,
 	}
@@ -139,41 +131,21 @@ func FromImage(img *Image, all []*constraint.Constraint, dead []bool, syms *symt
 		return nil, false
 	}
 
-	ix.links = make([][]string, nOrds)
-	for ord, c := range all {
-		if dead == nil || !dead[ord] {
-			ix.links[ord] = c.Links
-		}
-	}
-
-	// Attribute postings: slice the rows, then fill the backing arena in
-	// parallel chunks — recomputing ~Σ antecedents interval annotations is
-	// the dominant restore cost, and chunks are independent.
+	// Attribute postings: one arena, sliced into rows.
 	arena := make([]attrPosting, len(img.AttrOrds))
+	for k, ord := range img.AttrOrds {
+		pos := img.AttrPoss[k]
+		if ord < 0 || int(ord) >= nOrds || pos < 0 || int(pos) >= len(syms.CompiledAt(int(ord)).Ants) {
+			return nil, false
+		}
+		arena[k] = attrPosting{ord: ord, pos: pos}
+	}
 	ix.attrRows = make([][]attrPosting, len(img.AttrOffsets)-1)
 	if !sliceRows(img.AttrOffsets, len(arena), func(i int, a, b int32) {
 		ix.attrRows[i] = arena[a:b:b]
 	}) {
 		return nil, false
 	}
-	for _, ord := range img.AttrOrds {
-		if int(ord) >= nOrds {
-			return nil, false
-		}
-	}
-	parallelChunks(len(arena), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			ord, pos := int(img.AttrOrds[k]), int(img.AttrPoss[k])
-			arena[k].ord, arena[k].pos = ord, pos
-			if ivAt != nil {
-				arena[k].iv = ivAt(ord, pos)
-				continue
-			}
-			if ants := all[ord].Antecedents; pos < len(ants) {
-				arena[k].iv = IntervalOfPredicate(ants[pos])
-			}
-		}
-	})
 	return ix, true
 }
 
@@ -188,27 +160,4 @@ func sliceRows(offsets []int32, flatLen int, fn func(i int, a, b int32)) bool {
 		fn(i, a, b)
 	}
 	return true
-}
-
-// parallelChunks splits [0, n) across min(GOMAXPROCS, 8) goroutines.
-func parallelChunks(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 2 || n < 4096 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

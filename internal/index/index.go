@@ -17,11 +17,11 @@
 //     scheme, with the assignment chosen to minimize the candidates touched.
 //
 //   - Attribute posting lists, keyed by (class, attribute, predicate kind)
-//     — the operand signature — with the satisfiable interval of each range
-//     predicate stored alongside. Probing with a predicate returns the
+//     — the operand signature. Probing with a predicate returns the
 //     constraints whose antecedent on that signature could be implied by it,
-//     interval-overlap filtered; the closure materializer chains constraints
-//     through these postings instead of pairing the whole catalog.
+//     filtered by the overlap of the two predicates' satisfiable intervals;
+//     the closure materializer chains constraints through these postings
+//     instead of pairing the whole catalog.
 //
 // An Index is immutable after New and safe for unbounded concurrent use. The
 // Scan type wraps the old linear catalog scan behind the same Lookup
@@ -50,7 +50,7 @@ type Lookup interface {
 // and append-only across a patch lineage, with removed constraints leaving
 // tombstoned ordinals no posting list references.
 type Index struct {
-	all []*constraint.Constraint // ordinal space; tombstones stay in place
+	all constraint.Ordinals // ordinal space; tombstones stay in place
 
 	// syms is the compiled symbol space of the catalog generation: interned
 	// classes, attributes and predicates, compiled constraints and the
@@ -78,20 +78,21 @@ type Index struct {
 	links    [][]string
 
 	// attrRows holds the antecedent occurrences keyed by operand-signature
-	// ordinal (symtab.SigOrdinal), interval annotated and ordered by
-	// (constraint ordinal, antecedent position). attrNonEmpty counts the
-	// non-empty rows — the AttrKeys stat.
+	// ordinal (symtab.SigOrdinal), ordered by (constraint ordinal,
+	// antecedent position). attrNonEmpty counts the non-empty rows — the
+	// AttrKeys stat.
 	attrRows     [][]attrPosting
 	attrNonEmpty int
 
 	maxPosting int
 }
 
-// attrPosting is one antecedent occurrence in the attribute postings.
+// attrPosting is one antecedent occurrence in the attribute postings. Its
+// interval is derived from the antecedent when a probe needs it, which
+// keeps the postings small and their construction free of predicate work.
 type attrPosting struct {
-	ord int      // constraint ordinal
-	pos int      // antecedent position within the constraint
-	iv  Interval // satisfiable region of the antecedent
+	ord int32 // constraint ordinal
+	pos int32 // antecedent position within the constraint
 }
 
 // Match is one probe hit: a constraint and the antecedent position that
@@ -104,7 +105,7 @@ type Match struct {
 
 // AttrPostings is the attribute-keyed layer of the index alone: antecedent
 // occurrences posted under their (class, attribute, predicate kind) operand
-// signature with interval annotations. The closure materializer builds one
+// signature. The closure materializer builds one
 // per fixpoint round — it needs only this layer, not the class postings or
 // the implication adjacency a full Index carries.
 type AttrPostings struct {
@@ -119,11 +120,7 @@ func BuildAttrPostings(all []*constraint.Constraint) *AttrPostings {
 	for i, c := range all {
 		for k, a := range c.Antecedents {
 			key := Signature(a)
-			ap.byAttr[key] = append(ap.byAttr[key], attrPosting{
-				ord: i,
-				pos: k,
-				iv:  IntervalOfPredicate(a),
-			})
+			ap.byAttr[key] = append(ap.byAttr[key], attrPosting{ord: int32(i), pos: int32(k)})
 		}
 	}
 	return ap
@@ -138,13 +135,20 @@ func (ap *AttrPostings) AntecedentMatches(p predicate.Predicate) []Match {
 	if len(post) == 0 {
 		return nil
 	}
+	return matches(p, post, func(ord int32) *constraint.Constraint { return ap.all[ord] })
+}
+
+// matches filters a posting row to the antecedents whose satisfiable
+// interval overlaps p's (joins have no constant bounds and all pass).
+func matches(p predicate.Predicate, post []attrPosting, at func(ord int32) *constraint.Constraint) []Match {
 	iv := IntervalOfPredicate(p)
 	var out []Match
 	for _, posting := range post {
-		if !p.IsJoin() && !iv.Overlaps(posting.iv) {
+		c := at(posting.ord)
+		if !p.IsJoin() && !iv.Overlaps(IntervalOfPredicate(c.Antecedents[posting.pos])) {
 			continue
 		}
-		out = append(out, Match{Constraint: ap.all[posting.ord], Ordinal: posting.ord, AntPos: posting.pos})
+		out = append(out, Match{Constraint: c, Ordinal: int(posting.ord), AntPos: int(posting.pos)})
 	}
 	return out
 }
@@ -180,7 +184,7 @@ func Build(all []*constraint.Constraint) *Index {
 // cover exactly the constraints of all.
 func BuildWith(all []*constraint.Constraint, syms *symtab.Table) *Index {
 	ix := &Index{
-		all:      all,
+		all:      constraint.OrdinalsOf(all),
 		syms:     syms,
 		live:     len(all),
 		byClass:  make([][]int32, syms.NumClasses()),
@@ -189,18 +193,14 @@ func BuildWith(all []*constraint.Constraint, syms *symtab.Table) *Index {
 		links:    make([][]string, len(all)),
 		attrRows: make([][]attrPosting, syms.NumSigs()),
 	}
-	for i, c := range all {
+	for i := range all {
 		comp := syms.CompiledAt(i)
 		for k, aid := range comp.Ants {
 			sig := syms.SigOrdinal(aid)
 			if len(ix.attrRows[sig]) == 0 {
 				ix.attrNonEmpty++
 			}
-			ix.attrRows[sig] = append(ix.attrRows[sig], attrPosting{
-				ord: i,
-				pos: k,
-				iv:  IntervalOfPredicate(c.Antecedents[k]),
-			})
+			ix.attrRows[sig] = append(ix.attrRows[sig], attrPosting{ord: int32(i), pos: int32(k)})
 		}
 	}
 
@@ -309,7 +309,7 @@ func (ix *Index) Relevant(q *query.Query) []*constraint.Constraint {
 	slices.Sort(ords)
 	out := make([]*constraint.Constraint, len(ords))
 	for i, ord := range ords {
-		out[i] = ix.all[ord]
+		out[i] = ix.all.At(int(ord))
 	}
 	return out
 }
@@ -364,15 +364,7 @@ func (ix *Index) AntecedentMatches(p predicate.Predicate) []Match {
 	if len(post) == 0 {
 		return nil
 	}
-	iv := IntervalOfPredicate(p)
-	var out []Match
-	for _, posting := range post {
-		if !p.IsJoin() && !iv.Overlaps(posting.iv) {
-			continue
-		}
-		out = append(out, Match{Constraint: ix.all[posting.ord], Ordinal: posting.ord, AntPos: posting.pos})
-	}
-	return out
+	return matches(p, post, func(ord int32) *constraint.Constraint { return ix.all.At(int(ord)) })
 }
 
 // Stats describes the shape of one built index, for observability.

@@ -40,8 +40,8 @@ func NewLineage(ix *Index) *Lineage {
 		freq: make([]int, len(ix.byClass)),
 		refs: make([][]int32, len(ix.byClass)),
 	}
-	for ord := range ix.all {
-		for _, id := range ix.classIDs[ord] {
+	for ord, ids := range ix.classIDs {
+		for _, id := range ids {
 			lin.freq[id]++
 			lin.refs[id] = append(lin.refs[id], int32(ord))
 		}
@@ -82,7 +82,7 @@ func (lin *Lineage) dropRef(id symtab.ClassID, ord int32) {
 // re-homed under the updated frequencies (same tie-break: first class in
 // sorted order wins).
 func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added []*constraint.Constraint, addedOrds []int32) *Index {
-	nOrds := len(ix.all) + len(added)
+	nOrds := ix.all.Len() + len(added)
 	nx := &Index{
 		all:          ix.all,
 		syms:         syms,
@@ -125,7 +125,7 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 		comp := syms.CompiledAt(int(ord))
 		for _, aid := range comp.Ants {
 			sig := syms.SigOrdinal(aid)
-			row := removePostings(nx.attrRows[sig], int(ord))
+			row := removePostings(nx.attrRows[sig], ord)
 			if len(row) == 0 && len(nx.attrRows[sig]) > 0 {
 				nx.attrNonEmpty--
 			}
@@ -136,7 +136,7 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 	// Additions: extend the ordinal space, post antecedents, count refs.
 	for i, c := range added {
 		ord := addedOrds[i]
-		nx.all = append(nx.all, c)
+		nx.all = nx.all.Append(c)
 		cls := c.Classes()
 		ids := make([]symtab.ClassID, len(cls))
 		for k, cl := range cls {
@@ -164,11 +164,7 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 			// New ordinals exceed every posted one, so appending keeps
 			// the (ordinal, position) order; the row is copied because
 			// its backing may be shared with older generations.
-			nx.attrRows[sig] = appendPosting(nx.attrRows[sig], attrPosting{
-				ord: int(ord),
-				pos: k,
-				iv:  IntervalOfPredicate(c.Antecedents[k]),
-			})
+			nx.attrRows[sig] = appendPosting(nx.attrRows[sig], attrPosting{ord: ord, pos: int32(k)})
 		}
 	}
 
@@ -226,7 +222,7 @@ func insertSorted(list []int32, v int32) []int32 {
 
 // removePostings returns row without the postings of ord, as a fresh copy
 // (or the shared row itself when ord posted nothing on it).
-func removePostings(row []attrPosting, ord int) []attrPosting {
+func removePostings(row []attrPosting, ord int32) []attrPosting {
 	n := 0
 	for _, p := range row {
 		if p.ord == ord {

@@ -10,8 +10,8 @@ import (
 // (the differential suite holds every level byte-identical to level 0);
 // what degrades is cost, never correctness.
 const (
-	// LevelFull serves everything: subsumption probing, canonical cache
-	// keys, micro-batch coalescing.
+	// LevelFull serves everything: subsumption probing and canonical cache
+	// keys.
 	LevelFull = 0
 	// LevelNoSubsume disables containment probing on cache misses — the
 	// most speculative work on the path (up to maxGenProbe containment
@@ -22,15 +22,10 @@ const (
 	// variant pays its own cold optimization, which is still the exact
 	// cold answer.
 	LevelNoCanon = 2
-	// LevelNoCoalesce additionally disables micro-batch coalescing:
-	// requests go straight to the engine instead of waiting out a
-	// collection window — under heavy pressure the window is pure added
-	// latency because every batch fills instantly anyway.
-	LevelNoCoalesce = 3
 )
 
 // MaxLevel is the deepest degradation step.
-const MaxLevel = LevelNoCoalesce
+const MaxLevel = LevelNoCanon
 
 // LadderConfig tunes the escalation hysteresis.
 type LadderConfig struct {
@@ -180,8 +175,6 @@ func LevelName(level int) string {
 		return "no-subsume"
 	case LevelNoCanon:
 		return "no-canon"
-	case LevelNoCoalesce:
-		return "no-coalesce"
 	default:
 		return "unknown"
 	}

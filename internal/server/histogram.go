@@ -1,8 +1,8 @@
 // Package server is the network front door of the optimizer: an HTTP
-// serving layer over sqo.Engine with request coalescing (micro-batching),
-// per-request deadlines, per-endpoint latency accounting, and a
-// connection-draining graceful shutdown. cmd/sqod wraps it into a daemon;
-// cmd/sqoload drives it under load.
+// serving layer over sqo.Engine with admission control, per-request
+// deadlines, per-endpoint latency accounting, and a connection-draining
+// graceful shutdown. cmd/sqod wraps it into a daemon; cmd/sqoload drives
+// it under load.
 package server
 
 import (

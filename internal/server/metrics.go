@@ -28,7 +28,6 @@ type scrapeState struct {
 	eng    sqo.EngineStats
 	res    ResilienceStats
 	trc    obs.TracerStats
-	bat    BatcherStats
 	mem    runtime.MemStats
 	uptime float64
 }
@@ -176,14 +175,6 @@ func (s *Server) newRegistry() *obs.Registry {
 		emit(obs.Sample{Value: float64(st.eng.PanicsRecovered)})
 	})
 
-	// --- batcher ---------------------------------------------------------
-	r.Counter("sqo_batches", "Micro-batch groups dispatched.", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: float64(st.bat.Batches)})
-	})
-	r.Counter("sqo_batch_coalesced", "Requests carried by dispatched micro-batches.", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: float64(st.bat.Coalesced)})
-	})
-
 	// --- execution meters ------------------------------------------------
 	r.Counter("sqo_executions", "End-to-end Execute/ExecuteRaw calls served.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Executions)})
@@ -241,9 +232,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st.res = s.resilienceStats()
 	st.uptime = time.Since(s.start).Seconds()
 	st.trc = s.tracer.Stats()
-	if s.batcher != nil {
-		st.bat = s.batcher.stats()
-	}
 	runtime.ReadMemStats(&st.mem)
 	w.Header().Set("Content-Type", obs.ContentType)
 	_ = s.reg.Render(w)

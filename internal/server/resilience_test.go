@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -184,79 +183,6 @@ func TestReadyzReportsLevelAndDraining(t *testing.T) {
 	hresp, _ := postGet(t, ts.URL+"/healthz")
 	if hresp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status while draining = %d, want 200", hresp.StatusCode)
-	}
-}
-
-// TestDegradationDisablesCoalescing checks the top ladder rung: at
-// LevelNoCoalesce /optimize bypasses the micro-batcher entirely, and stepping
-// back down re-enables it.
-func TestDegradationDisablesCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchWindow: time.Millisecond, BatchLimit: 8, MonitorInterval: -1})
-
-	post := func() {
-		t.Helper()
-		resp, raw := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Query: testQueryText})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
-		}
-	}
-
-	post()
-	if got := s.batcher.stats().Batches; got != 1 {
-		t.Fatalf("batches after level-0 request = %d, want 1", got)
-	}
-
-	s.SetDegradation(3)
-	post()
-	if got := s.batcher.stats().Batches; got != 1 {
-		t.Fatalf("batches after level-3 request = %d, want 1 (batcher must be bypassed)", got)
-	}
-
-	s.SetDegradation(0)
-	post()
-	if got := s.batcher.stats().Batches; got != 2 {
-		t.Fatalf("batches after recovery = %d, want 2", got)
-	}
-}
-
-// TestBatcherCloseSubmitRace hammers submit concurrently with close: every
-// submit must return a result or an error — none may hang, none may return
-// neither.
-func TestBatcherCloseSubmitRace(t *testing.T) {
-	const n = 32
-	b := newBatcher(testEngine(t), time.Millisecond, 4)
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			res, err := b.submit(context.Background(), testQuery(t))
-			if err == nil && res == nil {
-				err = errors.New("nil result without error")
-			}
-			errs[i] = err
-		}(i)
-	}
-	close(start)
-	// Close mid-flight: some submits land in the pending group, some race
-	// the closed flag, some arrive after.
-	b.close()
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("submits hung after close")
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
 	}
 }
 

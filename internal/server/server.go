@@ -25,14 +25,6 @@ type Config struct {
 	// Engine serves the optimizations. Required.
 	Engine *sqo.Engine
 
-	// BatchWindow is how long the first request of a coalescing group
-	// waits for company before dispatch; BatchLimit caps the group size
-	// (default: twice the engine's worker count, with a floor of 4).
-	// BatchWindow <= 0 or BatchLimit == 1 disables micro-batching and
-	// /optimize calls the engine directly.
-	BatchWindow time.Duration
-	BatchLimit  int
-
 	// RequestTimeout bounds every request without its own timeout_ms
 	// (default 10s); MaxTimeout caps client-supplied timeouts (default
 	// 60s).
@@ -90,7 +82,7 @@ type Config struct {
 
 // Server is the HTTP serving layer over one sqo.Engine:
 //
-//	POST /optimize        — one query, coalesced into micro-batches
+//	POST /optimize        — one query via Engine.Optimize
 //	POST /optimize/batch  — a client-assembled batch via OptimizeBatch
 //	POST /query           — optimize-then-execute against the database
 //	POST /catalog/swap    — hot-swap the whole constraint catalog
@@ -105,21 +97,20 @@ type Config struct {
 // bounded queue, deadline-aware shedding with 429 + Retry-After), and a
 // pressure monitor walks a graceful-degradation ladder that sheds
 // serving-path optimizations — subsumption probing, then canonical cache
-// keys, then micro-batch coalescing — in an order proven answer-preserving.
+// keys — in an order proven answer-preserving.
 //
 // Build one with New, mount Handler on an http.Server, call StartDraining
 // when shutdown begins (readiness goes false), and call Close after
 // http.Server.Shutdown has drained the connections.
 type Server struct {
-	eng     *sqo.Engine
-	cfg     Config
-	batcher *batcher // nil when micro-batching is disabled
-	mux     *http.ServeMux
-	start   time.Time
-	log     *slog.Logger
-	tracer  *obs.Tracer
-	reg     *obs.Registry
-	scrape  scrapeState
+	eng    *sqo.Engine
+	cfg    Config
+	mux    *http.ServeMux
+	start  time.Time
+	log    *slog.Logger
+	tracer *obs.Tracer
+	reg    *obs.Registry
+	scrape scrapeState
 
 	adm      *resilience.Admission
 	ladder   *resilience.Ladder
@@ -144,7 +135,7 @@ type endpointMetrics struct {
 	inflight atomic.Int64
 }
 
-// New builds a Server over cfg.Engine and starts its micro-batcher.
+// New builds a Server over cfg.Engine and starts its pressure monitor.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("server: Config.Engine is required")
@@ -157,12 +148,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.BatchLimit <= 0 {
-		// Coalescing pays off even past the pool width (excess queries
-		// just queue inside the engine), so keep a useful floor on
-		// single-core machines where Workers() is 1.
-		cfg.BatchLimit = max(4, 2*cfg.Engine.Workers())
 	}
 	if cfg.MonitorInterval == 0 {
 		cfg.MonitorInterval = 250 * time.Millisecond
@@ -194,9 +179,6 @@ func New(cfg Config) (*Server, error) {
 		Logger:        s.log,
 	})
 	s.reg = s.newRegistry()
-	if cfg.BatchWindow > 0 && cfg.BatchLimit > 1 {
-		s.batcher = newBatcher(cfg.Engine, cfg.BatchWindow, cfg.BatchLimit)
-	}
 	s.mux.HandleFunc("POST /optimize", s.instrument(s.optimizeM, s.handleOptimize))
 	s.mux.HandleFunc("POST /optimize/batch", s.instrument(s.batchM, s.handleOptimizeBatch))
 	s.mux.HandleFunc("POST /query", s.instrument(s.queryM, s.handleQuery))
@@ -210,11 +192,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /trace/{id}", s.handleTrace)
 	s.mux.HandleFunc("GET /traces", s.handleTraces)
-	if s.batcher != nil {
-		s.log.Info("micro-batching on", "window", cfg.BatchWindow, "limit", cfg.BatchLimit)
-	} else {
-		s.log.Info("micro-batching off")
-	}
 	if cfg.MonitorInterval > 0 {
 		go s.monitor()
 	} else {
@@ -225,9 +202,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the server's routing handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Batching reports whether request coalescing is active.
-func (s *Server) Batching() bool { return s.batcher != nil }
 
 // StartDraining flips readiness off: /readyz answers 503 so load balancers
 // stop routing new traffic, while in-flight and straggler requests keep
@@ -241,20 +215,12 @@ func (s *Server) StartDraining() {
 // Draining reports whether StartDraining has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the pressure monitor and the micro-batcher, flushing the
-// batcher's pending group and waiting for in-flight dispatches to deliver.
-// Call it after http.Server.Shutdown has drained connections; requests that
-// still arrive afterwards degrade to direct engine calls rather than
-// failing.
+// Close flips readiness off and stops the pressure monitor. Call it after
+// http.Server.Shutdown has drained connections.
 func (s *Server) Close() {
 	s.StartDraining()
 	s.monOnce.Do(func() { close(s.monStop) })
 	<-s.monDone
-	if s.batcher != nil {
-		s.batcher.close()
-		st := s.batcher.stats()
-		s.log.Info("batcher closed", "batches", st.Batches, "coalesced", st.Coalesced)
-	}
 }
 
 // --- wire types -----------------------------------------------------------
@@ -369,9 +335,7 @@ type EndpointStats struct {
 // StatsResponse is the body of GET /stats.
 type StatsResponse struct {
 	UptimeS    float64                  `json:"uptime_s"`
-	Batching   bool                     `json:"batching"`
 	Engine     sqo.EngineStats          `json:"engine"`
-	Batcher    *BatcherStats            `json:"batcher,omitempty"`
 	Resilience ResilienceStats          `json:"resilience"`
 	Endpoints  map[string]EndpointStats `json:"endpoints"`
 }
@@ -402,17 +366,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var res *sqo.Result
-	if tr == nil && s.batcher != nil && s.ladder.Level() < resilience.LevelNoCoalesce {
-		res, err = s.batcher.submit(ctx, q)
-	} else {
-		// Two reasons to go direct: at LevelNoCoalesce the collection
-		// window is pure added latency (under heavy pressure every batch
-		// fills instantly anyway), and a traced request must keep its own
-		// context — the batcher optimizes under the group's context, which
-		// would drop the span recorder.
-		res, err = s.eng.Optimize(ctx, q)
-	}
+	res, err := s.eng.Optimize(ctx, q)
 	if err != nil {
 		writeError(w, statusForError(err), err)
 		return
@@ -624,7 +578,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		UptimeS:    time.Since(s.start).Seconds(),
-		Batching:   s.batcher != nil,
 		Engine:     s.eng.Stats(),
 		Resilience: s.resilienceStats(),
 		Endpoints: map[string]EndpointStats{
@@ -635,10 +588,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"/catalog/update": s.updateM.snapshot(),
 			"/stats":          s.statsM.snapshot(),
 		},
-	}
-	if s.batcher != nil {
-		bs := s.batcher.stats()
-		resp.Batcher = &bs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -17,6 +17,30 @@ import (
 
 const testQueryText = `(SELECT {cargo.desc} {} {vehicle.desc = "refrigerated truck"} {collects} {vehicle, cargo})`
 
+// testEngine builds a two-class engine for server tests: a "refrigerated
+// truck" constraint whose introduction the indexed cargo.desc makes
+// profitable.
+func testEngine(t testing.TB, opts ...sqo.EngineOption) *sqo.Engine {
+	t.Helper()
+	sch := sqo.NewSchemaBuilder().
+		Class("vehicle",
+			sqo.Attribute{Name: "desc", Type: sqo.KindString}).
+		Class("cargo",
+			sqo.Attribute{Name: "desc", Type: sqo.KindString, Indexed: true}).
+		Relationship("collects", "vehicle", "cargo", sqo.OneToMany).
+		MustBuild()
+	cat := sqo.MustCatalog(
+		sqo.NewConstraint("c1",
+			[]sqo.Predicate{sqo.Eq("vehicle", "desc", sqo.StringValue("refrigerated truck"))},
+			[]string{"collects"},
+			sqo.Eq("cargo", "desc", sqo.StringValue("frozen food"))))
+	eng, err := sqo.NewEngine(sch, append([]sqo.EngineOption{sqo.WithCatalog(cat)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Engine == nil {
@@ -71,36 +95,26 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestOptimizeEndpoint(t *testing.T) {
-	for _, batching := range []bool{false, true} {
-		name := "direct"
-		if batching {
-			name = "batched"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := Config{}
-			if batching {
-				cfg.BatchWindow = 2 * time.Millisecond
-				cfg.BatchLimit = 8
-			}
-			_, ts := newTestServer(t, cfg)
+	// Every /optimize is one direct Engine.Optimize call.
+	t.Run("direct", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{})
 
-			resp, raw := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Query: testQueryText})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
-			}
-			var out OptimizeResponse
-			if err := json.Unmarshal(raw, &out); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sqo.ParseQuery(out.Optimized); err != nil {
-				t.Fatalf("optimized query does not parse back: %v (%q)", err, out.Optimized)
-			}
-			// The constraint introduces the indexed cargo.desc predicate.
-			if !strings.Contains(out.Optimized, "frozen food") {
-				t.Fatalf("expected introduced predicate in %q", out.Optimized)
-			}
-		})
-	}
+		resp, raw := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Query: testQueryText})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
+		}
+		var out OptimizeResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sqo.ParseQuery(out.Optimized); err != nil {
+			t.Fatalf("optimized query does not parse back: %v (%q)", err, out.Optimized)
+		}
+		// The constraint introduces the indexed cargo.desc predicate.
+		if !strings.Contains(out.Optimized, "frozen food") {
+			t.Fatalf("expected introduced predicate in %q", out.Optimized)
+		}
+	})
 }
 
 func TestOptimizeParseError(t *testing.T) {
@@ -204,7 +218,7 @@ func TestCatalogSwapEndpoint(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWindow: time.Millisecond, BatchLimit: 4})
+	_, ts := newTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
 		if resp, raw := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Query: testQueryText}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("optimize status = %d, body %s", resp.StatusCode, raw)
@@ -236,9 +250,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if ep.Count != 4 || ep.MaxUS < ep.P50US {
 		t.Fatalf("latency snapshot inconsistent: %+v", ep)
 	}
-	if !out.Batching || out.Batcher == nil {
-		t.Fatalf("batcher stats missing: %+v", out)
-	}
 	if out.Engine.Optimizations == 0 {
 		t.Fatalf("engine stats missing optimizations: %+v", out.Engine)
 	}
@@ -246,14 +257,13 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestGracefulDrain exercises the documented shutdown order under load:
 // http.Server.Shutdown drains in-flight requests (all of which must
-// complete 200), then Server.Close flushes the batcher.
+// complete 200), then Server.Close stops the monitor.
 func TestGracefulDrain(t *testing.T) {
-	// A wide collection window parks every handler inside the batcher, so
-	// the whole fleet is verifiably in flight when the drain starts.
+	const n = 24
 	s, err := New(Config{
-		Engine:      testEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64})),
-		BatchWindow: 100 * time.Millisecond,
-		BatchLimit:  1000,
+		Engine:        testEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64})),
+		MaxConcurrent: 1,
+		MaxQueue:      n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +271,12 @@ func TestGracefulDrain(t *testing.T) {
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Start()
 
-	const n = 24
+	// Holding the only admission slot parks every handler in the queue, so
+	// the whole fleet is verifiably in flight when the drain starts.
+	release, err := s.adm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	codes := make([]int, n)
 	errs := make([]error, n)
@@ -281,17 +296,24 @@ func TestGracefulDrain(t *testing.T) {
 		}(i)
 	}
 
-	// Begin the drain only once every request is inside a handler.
+	// Begin the drain only once every request waits in the queue, and
+	// free the slot only once Shutdown has closed the listener.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.optimizeM.inflight.Load() < n {
+	for s.adm.Stats().Queued < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests in flight", s.optimizeM.inflight.Load(), n)
+			t.Fatalf("only %d/%d requests queued", s.adm.Stats().Queued, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	shutting := make(chan struct{})
+	ts.Config.RegisterOnShutdown(func() { close(shutting) })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := ts.Config.Shutdown(ctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- ts.Config.Shutdown(ctx) }()
+	<-shutting
+	release()
+	if err := <-shut; err != nil {
 		t.Fatalf("shutdown did not drain: %v", err)
 	}
 	s.Close()

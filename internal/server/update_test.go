@@ -3,7 +3,12 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"sqo"
+	"sqo/internal/faultinject"
 )
 
 func TestCatalogUpdateEndpoint(t *testing.T) {
@@ -105,4 +110,113 @@ func TestCatalogUpdateEndpointErrors(t *testing.T) {
 	if stats.Engine.Epoch != 0 || stats.Engine.CatalogUpdates != 0 {
 		t.Fatalf("failed updates disturbed the engine: %+v", stats.Engine)
 	}
+}
+
+// TestCatalogSwapRebaselinesStore: a swap restarts the catalog lineage and
+// orphans the journal, so with Config.Store set /catalog/swap writes a
+// fresh snapshot. The next boot must come up warm on the swapped catalog
+// with nothing to replay, and an update after the swap must journal onto
+// that baseline. A baseline that cannot be written answers 500.
+func TestCatalogSwapRebaselinesStore(t *testing.T) {
+	dir := t.TempDir()
+	sch := sqo.LogisticsSchema()
+	boot := func() (*sqo.Engine, *sqo.SnapshotStore, sqo.BootReport) {
+		t.Helper()
+		store, err := sqo.OpenSnapshotStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, rep, err := store.Boot(sch, sqo.LogisticsConstraints())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, store, rep
+	}
+	// serve runs one daemon lifetime over a booted store. It closes the
+	// store without sqod's drain snapshot, so the next boot replays
+	// whatever the lifetime journaled.
+	serve := func(eng *sqo.Engine, store *sqo.SnapshotStore, run func(url string)) {
+		t.Helper()
+		s, err := New(Config{Engine: eng, Store: store, MonitorInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		run(ts.URL)
+		ts.Close()
+		s.Close()
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func(url, id string) {
+		t.Helper()
+		rule := id + `: vehicle.desc = "swap-test" -> vehicle.capacity <= 50`
+		if resp, raw := postJSON(t, url+"/catalog/update", UpdateRequest{Add: []string{rule}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("update %s: status %d: %s", id, resp.StatusCode, raw)
+		}
+	}
+	ids := func(eng *sqo.Engine) string {
+		var out []string
+		for _, c := range eng.Catalog().All() {
+			out = append(out, c.ID)
+		}
+		return strings.Join(out, ",")
+	}
+
+	// The swap target drops the first logistics rule, so it differs from
+	// both the declared catalog and the journaled state.
+	var lines []string
+	swapped, err := sqo.NewCatalog(sqo.LogisticsConstraints().All()[1:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range swapped.All() {
+		lines = append(lines, c.String())
+	}
+	swapReq := SwapRequest{Catalog: strings.Join(lines, "\n")}
+
+	eng, store, _ := boot()
+	var swappedIDs string
+	serve(eng, store, func(url string) {
+		update(url, "zs1")
+		if resp, raw := postJSON(t, url+"/catalog/swap", swapReq); resp.StatusCode != http.StatusOK {
+			t.Fatalf("swap: status %d: %s", resp.StatusCode, raw)
+		}
+		swappedIDs = ids(eng)
+	})
+
+	eng, store, rep := boot()
+	if !rep.Warm || rep.Replayed != 0 || rep.Constraints != swapped.Len() {
+		t.Fatalf("boot after swap = %+v, want warm, 0 replayed, %d constraints", rep, swapped.Len())
+	}
+	if got := ids(eng); got != swappedIDs {
+		t.Fatalf("boot after swap serves %s, want the swapped catalog %s", got, swappedIDs)
+	}
+	serve(eng, store, func(url string) { update(url, "zs2") })
+
+	eng, store, rep = boot()
+	if !rep.Warm || rep.Replayed != 1 || rep.Constraints != swapped.Len()+1 {
+		t.Fatalf("boot after post-swap update = %+v, want warm, 1 replayed, %d constraints", rep, swapped.Len()+1)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A warm boot writes no snapshot, so an injected snapshot.write fault
+	// reaches the swap's baseline and nothing before it.
+	t.Setenv(faultinject.EnvVar, "snapshot.write=1")
+	eng, store, _ = boot()
+	serve(eng, store, func(url string) {
+		resp, raw := postJSON(t, url+"/catalog/swap", swapReq)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("swap with failing baseline: status %d, want 500: %s", resp.StatusCode, raw)
+		}
+		if !strings.Contains(string(raw), "swapped in memory") {
+			t.Fatalf("swap with failing baseline said %s, want it to report the in-memory swap", raw)
+		}
+		if got := ids(eng); got != swappedIDs {
+			t.Fatalf("engine serves %s after the failed baseline, want the swapped catalog %s", got, swappedIDs)
+		}
+	})
 }

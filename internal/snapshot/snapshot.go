@@ -77,12 +77,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Model is the in-memory form of a snapshot: exactly the generation-scoped
 // state an engine needs to serve. All and Dead span the full ordinal space
 // (tombstones in place); Syms and Index are the restored (or to-be-saved)
-// compiled structures over it.
+// compiled structures over it. A decoded model's constraints are built on
+// first access (see decodeConstraints).
 type Model struct {
 	SchemaHash uint64
 	Seq        uint64
 
-	All  []*constraint.Constraint
+	All  constraint.Ordinals
 	Dead []bool
 
 	Syms  *symtab.Table
@@ -101,11 +102,12 @@ type Info struct {
 // id (a digest of the section checksums — two encodes of the same state
 // produce the same id).
 func Encode(m *Model) ([]byte, uint64, error) {
-	if len(m.Dead) != len(m.All) {
-		return nil, 0, fmt.Errorf("snapshot: dead mask length %d != ordinal space %d", len(m.Dead), len(m.All))
+	if len(m.Dead) != m.All.Len() {
+		return nil, 0, fmt.Errorf("snapshot: dead mask length %d != ordinal space %d", len(m.Dead), m.All.Len())
 	}
-	ordKeys := make([]string, len(m.All))
-	for i, c := range m.All {
+	all := m.All.Slice()
+	ordKeys := make([]string, len(all))
+	for i, c := range all {
 		if !m.Dead[i] {
 			ordKeys[i] = c.Key()
 		}
@@ -136,7 +138,7 @@ func Encode(m *Model) ([]byte, uint64, error) {
 		return uint32(id)
 	}
 
-	consPayload := encodeConstraints(m.All, m.Dead, st, idxOf)
+	consPayload := encodeConstraints(all, m.Dead, st, idxOf)
 	predsPayload := encodePreds(combined, nPool, symImg.PoolSlots, st)
 	symPayload := encodeSymtab(symImg, st)
 	idxPayload := encodeIndex(idxImg)
@@ -272,37 +274,14 @@ func Decode(data []byte) (m *Model, info Info, err error) {
 
 	strs := decodeStrings(secs[secStrings])
 	combined, nPool, poolSlots := decodePreds(secs[secPreds], strs)
-	all, dead, antOff, antIdx := decodeConstraints(secs[secConstraints], strs, combined)
-
-	// Intervals deduplicated per distinct predicate: the index restore
-	// annotates every posting, but distinct predicates are far fewer than
-	// postings, so the per-posting work collapses to a table copy.
-	predIvs := make([]index.Interval, len(combined))
-	chunks(len(combined), 2048, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			predIvs[i] = index.IntervalOfPredicate(combined[i])
-		}
-	})
-	ivAt := func(ord, pos int) index.Interval {
-		if a, b := antOff[ord], antOff[ord+1]; int32(pos) < b-a {
-			return predIvs[antIdx[a+int32(pos)]]
-		}
-		return index.FullInterval
-	}
-
-	ordKeys := make([]string, len(all))
-	for i, c := range all {
-		if !dead[i] {
-			ordKeys[i] = c.Key()
-		}
-	}
+	all, dead, ordKeys, links := decodeConstraints(secs[secConstraints], strs, combined)
 	symImg := decodeSymtab(secs[secSymtab], strs, combined[:nPool:nPool], poolSlots, ordKeys)
 	syms, ok := symtab.FromImage(symImg)
 	if !ok {
 		return nil, Info{}, fmt.Errorf("%w: symbol table image", ErrCorrupt)
 	}
 	idxImg := decodeIndex(secs[secIndex])
-	ix, ok := index.FromImage(idxImg, all, dead, syms, ivAt)
+	ix, ok := index.FromImage(idxImg, all, links, syms)
 	if !ok {
 		return nil, Info{}, fmt.Errorf("%w: index image", ErrCorrupt)
 	}
@@ -488,11 +467,14 @@ func encodeConstraints(all []*constraint.Constraint, dead []bool, st *strTable, 
 	return w.b
 }
 
-// decodeConstraints rebuilds the ordinal space. Alongside it, the
-// antecedent CSR (antOff, antIdx — combined-predicate indexes per ordinal)
-// is returned so the index restore can look up per-posting intervals from a
-// table deduplicated per distinct predicate.
-func decodeConstraints(b []byte, strs []string, preds []predicate.Predicate) ([]*constraint.Constraint, []bool, []int32, []uint32) {
+// decodeConstraints restores the ordinal space lazily: it checks every
+// reference the constraint section makes, so building a constraint later
+// cannot fail, and returns the space with each constraint built on first
+// access. Alongside come what the rest of the restore needs without
+// building one: the tombstone set, the live canonical keys (the symbol
+// table's ordinal lookup) and the per-ordinal link sets (the index's
+// relevance check, shared with the constraints built later).
+func decodeConstraints(b []byte, strs []string, preds []predicate.Predicate) (all constraint.Ordinals, dead []bool, ordKeys []string, links [][]string) {
 	r := &rbuf{b: b}
 	n := r.count(1)
 	flags := r.raw(n)
@@ -510,55 +492,80 @@ func decodeConstraints(b []byte, strs []string, preds []predicate.Predicate) ([]
 		len(antOff) != n+1 || len(linkOff) != n+1 || len(classOff) != n+1 {
 		panic("constraint arrays disagree on length")
 	}
+	for _, refs := range [][]uint32{idRefs, docRefs, keyRefs, linkRefs, classRefs} {
+		checkRefs(refs, len(strs))
+	}
+	checkRefs(consIdx, len(preds))
+	checkRefs(antIdx, len(preds))
+	checkOffsets(antOff, len(antIdx))
+	checkOffsets(linkOff, len(linkRefs))
+	checkOffsets(classOff, len(classRefs))
 
-	all := make([]*constraint.Constraint, n)
-	dead := make([]bool, n)
-	// Bulk arenas: the constraints themselves and every constraint's slices
-	// are sub-slices of four shared allocations, filled in parallel.
-	conArena := make([]constraint.Constraint, n)
-	antArena := make([]predicate.Predicate, len(antIdx))
+	dead = make([]bool, n)
+	ordKeys = make([]string, n)
+	links = make([][]string, n)
 	linkArena := make([]string, len(linkRefs))
-	classArena := make([]string, len(classRefs))
-	chunks(n, 512, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dead[i] = flags[i]&flagDead != 0
-			kind := constraint.Intra
-			if flags[i]&flagInterKind != 0 {
-				kind = constraint.Inter
-			}
-			// Empty rows restore as nil, matching what constraint.New's
-			// append-copy of a nil slice produces on the cold path.
-			a, b := antOff[i], antOff[i+1]
-			var ants []predicate.Predicate
-			if b > a {
-				ants = antArena[a:b:b]
-				for j, pi := range antIdx[a:b] {
-					ants[j] = preds[pi]
-				}
-			}
-			a, b = linkOff[i], linkOff[i+1]
-			var links []string
-			if b > a {
-				links = linkArena[a:b:b]
-				for j, ref := range linkRefs[a:b] {
-					links[j] = deref(strs, ref)
-				}
-			}
-			a, b = classOff[i], classOff[i+1]
-			classes := classArena[a:b:b]
-			for j, ref := range classRefs[a:b] {
-				classes[j] = deref(strs, ref)
-			}
-			all[i] = &conArena[i]
-			constraint.RestoreInto(all[i],
-				deref(strs, idRefs[i]), deref(strs, docRefs[i]),
-				ants, links, preds[consIdx[i]],
-				flags[i]&flagStateDep != 0, kind, classes,
-				deref(strs, keyRefs[i]),
-			)
+	for i := range n {
+		dead[i] = flags[i]&flagDead != 0
+		if !dead[i] {
+			ordKeys[i] = deref(strs, keyRefs[i])
 		}
-	})
-	return all, dead, antOff, antIdx
+		// Empty rows restore as nil, matching what constraint.New's
+		// append-copy of a nil slice produces on the cold path.
+		if a, b := linkOff[i], linkOff[i+1]; b > a {
+			links[i] = linkArena[a:b:b]
+			for j, ref := range linkRefs[a:b] {
+				links[i][j] = deref(strs, ref)
+			}
+		}
+	}
+
+	build := func(i int) *constraint.Constraint {
+		kind := constraint.Intra
+		if flags[i]&flagInterKind != 0 {
+			kind = constraint.Inter
+		}
+		var ants []predicate.Predicate
+		if a, b := antOff[i], antOff[i+1]; b > a {
+			ants = make([]predicate.Predicate, b-a)
+			for j, pi := range antIdx[a:b] {
+				ants[j] = preds[pi]
+			}
+		}
+		a, b := classOff[i], classOff[i+1]
+		classes := make([]string, b-a)
+		for j, ref := range classRefs[a:b] {
+			classes[j] = deref(strs, ref)
+		}
+		return constraint.Restore(
+			deref(strs, idRefs[i]), deref(strs, docRefs[i]),
+			ants, links[i], preds[consIdx[i]],
+			flags[i]&flagStateDep != 0, kind, classes,
+			deref(strs, keyRefs[i]),
+		)
+	}
+	return constraint.LazyOrdinals(n, build), dead, ordKeys, links
+}
+
+// checkRefs panics (→ ErrCorrupt) on a reference at or beyond limit.
+func checkRefs(refs []uint32, limit int) {
+	for _, ref := range refs {
+		if int(ref) >= limit {
+			panic(fmt.Sprintf("snapshot: reference %d beyond table of %d", ref, limit))
+		}
+	}
+}
+
+// checkOffsets panics (→ ErrCorrupt) unless offs is a CSR spine over a flat
+// array of flatLen elements: non-negative, non-decreasing, within bounds.
+func checkOffsets(offs []int32, flatLen int) {
+	prev := int32(0)
+	for _, off := range offs {
+		if off < prev || int(off) > flatLen {
+			panic("snapshot: CSR offsets not monotonic")
+		}
+		prev = off
+	}
 }
 
 // --- symbol table ---------------------------------------------------------
@@ -666,13 +673,10 @@ func flatten[T any](rows [][]T) ([]int32, []T) {
 }
 
 func unflatten[T any](offs []int32, flat []T) [][]T {
+	checkOffsets(offs, len(flat))
 	rows := make([][]T, len(offs)-1)
 	for i := range rows {
-		a, b := offs[i], offs[i+1]
-		if a < 0 || b < a || int(b) > len(flat) {
-			panic("CSR offsets not monotonic")
-		}
-		rows[i] = flat[a:b:b]
+		rows[i] = flat[offs[i]:offs[i+1]:offs[i+1]]
 	}
 	return rows
 }

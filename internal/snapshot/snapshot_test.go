@@ -72,7 +72,7 @@ func testModel(t *testing.T, sch *schema.Schema, all []*constraint.Constraint, d
 	return &Model{
 		SchemaHash: 0xfeedface,
 		Seq:        7,
-		All:        all,
+		All:        constraint.OrdinalsOf(all),
 		Dead:       dead,
 		Syms:       syms,
 		Index:      index.BuildWith(all, syms),
@@ -119,16 +119,16 @@ func TestRoundTrip(t *testing.T) {
 	if info.ID != id || info.Seq != 7 || info.SchemaHash != 0xfeedface || info.Version != FormatVersion {
 		t.Fatalf("info = %+v", info)
 	}
-	if len(got.All) != len(all) {
-		t.Fatalf("%d constraints, want %d", len(got.All), len(all))
+	if got.All.Len() != len(all) {
+		t.Fatalf("%d constraints, want %d", got.All.Len(), len(all))
 	}
 	for i, want := range all {
-		sameConstraint(t, got.All[i], want)
+		sameConstraint(t, got.All.At(i), want)
 	}
 
 	// The restored symbol table answers every lookup the compiled one does,
 	// with identical IDs.
-	for i, c := range got.All {
+	for i, c := range got.All.Slice() {
 		ord, ok := got.Syms.Ordinal(c)
 		if !ok || ord != i {
 			t.Fatalf("constraint %s: ordinal %d ok=%v, want %d", c.ID, ord, ok, i)
@@ -224,13 +224,13 @@ func TestTombstonesRoundTrip(t *testing.T) {
 	}
 	// A dead ordinal's constraint is still materialized (the ordinal space
 	// keeps tombstones in place) but no longer resolvable by key.
-	if got.All[1].ID != "c2" {
-		t.Fatalf("tombstoned ordinal lost its constraint: %v", got.All[1])
+	if got.All.At(1).ID != "c2" {
+		t.Fatalf("tombstoned ordinal lost its constraint: %v", got.All.At(1))
 	}
-	if ord, ok := got.Syms.Ordinal(got.All[1]); ok {
+	if ord, ok := got.Syms.Ordinal(got.All.At(1)); ok {
 		t.Fatalf("tombstoned constraint resolved to ordinal %d", ord)
 	}
-	if ord, ok := got.Syms.Ordinal(got.All[2]); !ok || ord != 2 {
+	if ord, ok := got.Syms.Ordinal(got.All.At(2)); !ok || ord != 2 {
 		t.Fatalf("live constraint after tombstone: ord %d ok=%v", ord, ok)
 	}
 }

@@ -125,13 +125,13 @@ func (e *Engine) restoreState(m *snapshot.Model, epoch uint64) *engineState {
 // snapshotModel captures the current generation as a snapshot model.
 func (e *Engine) snapshotModel(seq uint64) *snapshot.Model {
 	st := e.state.Load()
-	var all []*constraint.Constraint
+	var all constraint.Ordinals
 	var dead []bool
 	if st.gen != nil {
 		all, dead = st.gen.Ordinals()
 	} else {
-		all = st.declared.All()
-		dead = make([]bool, len(all))
+		all = constraint.OrdinalsOf(st.declared.All())
+		dead = make([]bool, all.Len())
 	}
 	return &snapshot.Model{
 		SchemaHash: schemaHash(e.schema),

@@ -434,6 +434,68 @@ func TestWarmBootSpeedup(t *testing.T) {
 	}
 }
 
+// TestWarmBootAllocations is the deterministic companion of
+// TestWarmBootSpeedup: a warm boot builds no per-constraint objects (the
+// restored ordinal space builds each constraint on first use), so its
+// allocation count does not grow with the catalog, and the bytes it
+// allocates stay within a small multiple of the snapshot file it adopts in
+// place.
+func TestWarmBootAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the non-race CI job runs this")
+	}
+	type cost struct {
+		allocs float64
+		bytes  uint64
+		file   int64
+	}
+	measure := func(rules int) cost {
+		sch, cat, err := sqo.GenerateScaledWorld(sqo.ScaledConfig{Constraints: rules, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), sqo.SnapshotFileName)
+		if _, err := eng.WriteSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot := func() {
+			snap, err := sqo.LoadSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sqo.NewEngine(sch, sqo.WithSnapshot(snap)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := cost{allocs: testing.AllocsPerRun(5, boot), file: fi.Size()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		boot()
+		runtime.ReadMemStats(&after)
+		c.bytes = after.TotalAlloc - before.TotalAlloc
+		return c
+	}
+	small, large := measure(1000), measure(10000)
+	t.Logf("warm boot: 10³ rules %.0f allocs %d B (file %d B); 10⁴ rules %.0f allocs %d B (file %d B)",
+		small.allocs, small.bytes, small.file, large.allocs, large.bytes, large.file)
+	if large.allocs > small.allocs+16 {
+		t.Errorf("warm boot allocations grow with the catalog: %.0f at 10³ rules, %.0f at 10⁴",
+			small.allocs, large.allocs)
+	}
+	if large.bytes > 3*uint64(large.file) {
+		t.Errorf("warm boot at 10⁴ rules allocated %d B, more than 3× its %d B snapshot file",
+			large.bytes, large.file)
+	}
+}
+
 // renderCatalogText serializes a catalog back to the rule-file syntax that
 // ParseConstraintCatalog reads, giving timing tests the same input a node's
 // cold boot starts from.

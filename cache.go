@@ -2,45 +2,50 @@ package sqo
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"sqo/internal/constraint"
 )
 
-// cacheKey scopes a query fingerprint to one catalog generation. It is a
-// comparable struct — the epoch is a field of the hashed key rather than a
-// formatted string prefix, so building and probing a key allocates nothing.
-// Results computed against an old catalog keep their old epoch, so a lookup
-// after SwapCatalog can never return them — even if an in-flight
-// optimization stores its result after the swap's purge.
-type cacheKey struct {
-	epoch uint64
-	fp    QueryFingerprint
-}
-
-// cacheKeyFor builds the cache key of q under one engine state: the
-// generation's interned symbol space resolves predicates, attributes and
-// classes to dense IDs before hashing (symbols it has not interned hash as
-// content).
-func cacheKeyFor(st *engineState, q *Query) cacheKey {
-	return cacheKey{epoch: st.epoch, fp: fingerprintWith(q, st.syms)}
-}
-
-// resultCache is a concurrency-safe LRU cache of optimization results. With
-// subsumption enabled (CacheConfig.Subsume) it additionally maintains a
-// secondary structure keyed by subsumption envelope — projection, joins,
-// relationships, classes — mapping to the cached entries sharing it, so a
-// canonical miss can probe the cached generalizations that could contain the
-// query.
+// resultCache is a concurrency-safe LRU cache of optimization results, keyed
+// by content fingerprint. With subsumption enabled (CacheConfig.Subsume) it
+// additionally maintains a secondary structure keyed by subsumption
+// envelope — projection, joins, relationships, classes — mapping to the
+// cached entries sharing it, so a canonical miss can probe the cached
+// generalizations that could contain the query.
+//
+// Keys carry no catalog generation; a generation fence takes its place.
+// Every entry records born, the epoch of the generation that computed it,
+// and epoch is the newest generation the cache has been reconciled with —
+// by purge (swap, compaction) or update (delta), each run before the engine
+// publishes that generation. A put computed on an older generation is
+// refused, and a reader treats an entry born after its own generation as
+// absent. An entry an update lets stand therefore keeps serving as it is:
+// nothing is re-keyed.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
+	epoch uint64     // newest generation reconciled with; guarded by mu
 	order *list.List // front = most recently used
-	items map[cacheKey]*list.Element
+	items map[QueryFingerprint]*list.Element
 
 	// gens indexes entries by envelope key; nil unless the engine runs
 	// with subsumption. Buckets hold the same elements as order/items —
 	// every mutation maintains both.
-	gens map[cacheKey][]*list.Element
+	gens map[QueryFingerprint][]*list.Element
+
+	// byClass files every entry under each class of its query, so an
+	// update reaches the entries a constraint can touch through the
+	// constraint's classes. undeps holds the entries whose dependency set
+	// is unknown instead; every update visits and drops them.
+	byClass map[string]map[*list.Element]struct{}
+	undeps  map[*list.Element]struct{}
+
+	// visited counts the entries update sweeps have examined (guarded by
+	// mu): the counted work of cache invalidation.
+	visited int64
 
 	hits      atomic.Int64 // primary-key hits (exact + canonical)
 	canonHits atomic.Int64 // of hits: served only because canonicalization collapsed the query
@@ -51,40 +56,48 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key cacheKey
-	res *Result
+	key  QueryFingerprint
+	born uint64 // epoch of the generation that computed res
+	res  *Result
 
 	// env and cq are set only under subsumption: the entry's envelope key
 	// and the canonical query res answers — what the containment check
 	// compares against. cq == nil means the entry is not in gens.
-	env cacheKey
+	env QueryFingerprint
 	cq  *Query
 }
 
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[cacheKey]*list.Element, capacity),
+		cap:     capacity,
+		order:   list.New(),
+		items:   make(map[QueryFingerprint]*list.Element, capacity),
+		byClass: make(map[string]map[*list.Element]struct{}),
+		undeps:  make(map[*list.Element]struct{}),
 	}
 }
 
 // enableSubsumption switches the cache into generalization-tracking mode;
 // called once at engine construction, before any traffic.
 func (c *resultCache) enableSubsumption() {
-	c.gens = make(map[cacheKey][]*list.Element)
+	c.gens = make(map[QueryFingerprint][]*list.Element)
 }
 
-// get returns the cached result for key, marking it most recently used.
-func (c *resultCache) get(key cacheKey) (*Result, bool) {
+// get returns the cached result for key as a reader on generation epoch
+// may see it, marking it most recently used. An entry born on a later
+// generation is absent to that reader.
+func (c *resultCache) get(key QueryFingerprint, epoch uint64) (*Result, bool) {
 	c.mu.Lock()
 	var res *Result
 	el, ok := c.items[key]
 	if ok {
-		c.order.MoveToFront(el)
-		// Read the result while still holding the lock: put's
-		// refresh branch writes this field under the same lock.
-		res = el.Value.(*cacheEntry).res
+		// Read the entry while still holding the lock: put's refresh
+		// branch writes these fields under the same lock.
+		ent := el.Value.(*cacheEntry)
+		if ok = ent.born <= epoch; ok {
+			c.order.MoveToFront(el)
+			res = ent.res
+		}
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -95,40 +108,89 @@ func (c *resultCache) get(key cacheKey) (*Result, bool) {
 	return res, true
 }
 
-// put inserts (or refreshes) a result, evicting the least recently used
-// entry when the cache is full.
-func (c *resultCache) put(key cacheKey, res *Result) {
-	c.putGen(key, cacheKey{}, nil, res)
+// put inserts (or refreshes) a result computed on generation born, evicting
+// the least recently used entry when the cache is full.
+func (c *resultCache) put(key QueryFingerprint, born uint64, res *Result) {
+	c.putGen(key, QueryFingerprint{}, born, nil, res)
 }
 
 // putGen is put with generalization tracking: cq is the canonical query res
 // answers and env its envelope key. The subsuming engine stores every
 // cold-optimized result through this path, making it a candidate
 // generalization for further-contained queries (derived results go through
-// plain put — see Engine.trySubsume).
-func (c *resultCache) putGen(key, env cacheKey, cq *Query, res *Result) {
+// plain put — see Engine.trySubsume). A result computed on a generation
+// older than the cache's is refused: no update sweep has checked it.
+func (c *resultCache) putGen(key, env QueryFingerprint, born uint64, cq *Query, res *Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if born < c.epoch {
+		return
+	}
 	if el, ok := c.items[key]; ok {
 		// Same key ⇒ same canonical query ⇒ same envelope: the gens
-		// membership is already right.
-		el.Value.(*cacheEntry).res = res
+		// membership is already right. The class filing follows the
+		// result.
+		ent := el.Value.(*cacheEntry)
+		c.unfile(el)
+		ent.res, ent.born = res, born
+		c.file(el)
 		c.order.MoveToFront(el)
 		return
 	}
 	if c.order.Len() >= c.cap {
-		oldest := c.order.Back()
-		if oldest != nil {
-			c.order.Remove(oldest)
-			ent := oldest.Value.(*cacheEntry)
-			delete(c.items, ent.key)
-			c.dropGen(oldest, ent)
+		if oldest := c.order.Back(); oldest != nil {
+			c.remove(oldest)
 			c.evictions.Add(1)
 		}
 	}
-	el := c.order.PushFront(&cacheEntry{key: key, res: res, env: env, cq: cq})
+	el := c.order.PushFront(&cacheEntry{key: key, born: born, res: res, env: env, cq: cq})
 	c.items[key] = el
 	c.insertGen(el)
+	c.file(el)
+}
+
+// remove drops an element from every structure of the cache.
+func (c *resultCache) remove(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
+	c.order.Remove(el)
+	delete(c.items, ent.key)
+	c.dropGen(el, ent)
+	c.unfile(el)
+}
+
+// file adds an element to the postings of its query's classes, or to
+// undeps when its dependency set is unknown.
+func (c *resultCache) file(el *list.Element) {
+	res := el.Value.(*cacheEntry).res
+	if res.Deps() == nil {
+		c.undeps[el] = struct{}{}
+		return
+	}
+	for _, cl := range res.Original.Classes {
+		set := c.byClass[cl]
+		if set == nil {
+			set = make(map[*list.Element]struct{})
+			c.byClass[cl] = set
+		}
+		set[el] = struct{}{}
+	}
+}
+
+// unfile reverses file.
+func (c *resultCache) unfile(el *list.Element) {
+	res := el.Value.(*cacheEntry).res
+	if res.Deps() == nil {
+		delete(c.undeps, el)
+		return
+	}
+	for _, cl := range res.Original.Classes {
+		if set := c.byClass[cl]; set != nil {
+			delete(set, el)
+			if len(set) == 0 {
+				delete(c.byClass, cl)
+			}
+		}
+	}
 }
 
 // insertGen files an element into its envelope bucket, keeping the bucket
@@ -157,17 +219,15 @@ func (c *resultCache) insertGen(el *list.Element) {
 
 // dropGen removes an element from its envelope bucket, preserving the
 // bucket's sort order (no-op for entries stored without generalization
-// tracking).
+// tracking). slices.Delete clears the vacated slot, so the bucket's backing
+// array never pins an evicted result.
 func (c *resultCache) dropGen(el *list.Element, ent *cacheEntry) {
 	if c.gens == nil || ent.cq == nil {
 		return
 	}
 	bucket := c.gens[ent.env]
-	for i, b := range bucket {
-		if b == el {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
+	if i := slices.Index(bucket, el); i >= 0 {
+		bucket = slices.Delete(bucket, i, i+1)
 	}
 	if len(bucket) == 0 {
 		delete(c.gens, ent.env)
@@ -184,12 +244,13 @@ type genCandidate struct {
 	res *Result
 }
 
-// generalizations appends up to max candidates sharing the envelope key to
-// buf and returns it. Buckets are sorted by ascending select count (see
-// insertGen), so the walk sees the most general candidates first and stops at
-// maxSelects: a strict generalization of the probing query necessarily has
-// fewer selective conjuncts than the query itself.
-func (c *resultCache) generalizations(env cacheKey, buf []genCandidate, max, maxSelects int) []genCandidate {
+// generalizations appends up to max candidates sharing the envelope key
+// that a reader on generation epoch may see to buf and returns it. Buckets
+// are sorted by ascending select count (see insertGen), so the walk sees
+// the most general candidates first and stops at maxSelects: a strict
+// generalization of the probing query necessarily has fewer selective
+// conjuncts than the query itself.
+func (c *resultCache) generalizations(env QueryFingerprint, epoch uint64, buf []genCandidate, max, maxSelects int) []genCandidate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, el := range c.gens[env] {
@@ -199,6 +260,9 @@ func (c *resultCache) generalizations(env cacheKey, buf []genCandidate, max, max
 		ent := el.Value.(*cacheEntry)
 		if len(ent.cq.Selects) >= maxSelects {
 			break
+		}
+		if ent.born > epoch {
+			continue
 		}
 		buf = append(buf, genCandidate{cq: ent.cq, res: ent.res})
 	}
@@ -213,83 +277,68 @@ func (c *resultCache) subsumed(extras int) {
 	c.residual.Add(int64(extras))
 }
 
-// purge drops every entry, returning how many; the hit/miss/eviction
-// counters survive.
-func (c *resultCache) purge() int {
+// purge drops every entry and reconciles the cache with generation epoch,
+// returning how many entries it dropped; the hit/miss/eviction counters
+// survive.
+func (c *resultCache) purge(epoch uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.epoch = epoch
 	n := c.order.Len()
 	c.order.Init()
 	clear(c.items)
 	if c.gens != nil {
 		clear(c.gens)
 	}
+	clear(c.byClass)
+	clear(c.undeps)
 	return n
 }
 
 // update is the surgical companion of purge, for incremental catalog
-// updates: every entry of the epoch being replaced for which drop returns
-// true is removed, and every survivor is re-stamped into the new epoch in
-// place — same fingerprint, same result, same LRU position — so it keeps
-// hitting after the engine publishes the new generation. Sound because
-// query fingerprints are stable across a patch lineage (untouched symbol
-// IDs never move) and because the drop predicate guarantees a survivor's
-// result is identical under the old and the new generation.
+// updates: it reconciles the cache with generation epoch, removing every
+// entry for which drop returns true among the entries the delta can reach.
+// touched hold the delta's removed and added constraints. A constraint is
+// relevant only to queries that hold every one of its classes, and a
+// result's dependency set is a subset of its relevant set, so each entry
+// drop can condemn is filed under every class of some touched constraint.
+// The sweep therefore visits, per touched constraint, the smallest posting
+// among its classes, plus the entries with an unknown dependency set.
+// Entries it does not visit keep their place and their born stamp; the
+// fence keeps them serving under the new generation.
 //
-// Entries stamped with any *other* epoch are dropped outright: they are
-// in-flight puts that landed after their generation was replaced, so they
-// were never checked against the deltas in between — re-stamping one would
-// launder a stale result past the epoch fence.
+// The caller must run the sweep *before* publishing the new generation:
+// from the moment it returns, puts computed on an older generation are
+// refused, so no result the sweep did not check can enter the cache.
 //
-// The caller must run the sweep *before* publishing the new generation, so
-// no reader can have put a newEpoch-keyed entry yet; should one exist
-// anyway, the occupancy check keeps it (it was computed against the new
-// generation) and drops the old survivor instead of corrupting the map.
-//
-// The whole sweep — drop checks included — runs under the cache mutex, so
-// concurrent Optimize calls stall for its duration; the cost is bounded by
-// cache capacity × delta size and is paid once per catalog update, not on
-// the serving path.
-func (c *resultCache) update(oldEpoch, newEpoch uint64, drop func(*Result) bool) (purged, survived int) {
+// The sweep runs under the cache mutex; its cost is the size of the
+// postings it visits, not the size of the cache.
+func (c *resultCache) update(epoch uint64, drop func(*Result) bool, touched ...[]*constraint.Constraint) (purged, survived int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.key.epoch != oldEpoch || drop(ent.res) {
-			c.order.Remove(el)
-			delete(c.items, ent.key)
-			purged++
-			el = next
-			continue
-		}
-		delete(c.items, ent.key)
-		ent.key.epoch = newEpoch
-		if _, taken := c.items[ent.key]; taken {
-			c.order.Remove(el)
-			purged++
-		} else {
-			c.items[ent.key] = el
-			survived++
-		}
-		el = next
-	}
-	// The envelope index is keyed by epoch too; rebuild it over the
-	// survivors under their new stamp. Envelope fingerprints are stable
-	// across a patch lineage for the same reason primary fingerprints are
-	// (the drop predicate purged anything whose symbol basis shifted).
-	if c.gens != nil {
-		clear(c.gens)
-		for el := c.order.Front(); el != nil; el = el.Next() {
-			ent := el.Value.(*cacheEntry)
-			if ent.cq == nil {
-				continue
+	c.epoch = epoch
+	sweep := func(set map[*list.Element]struct{}) {
+		for el := range set {
+			c.visited++
+			if drop(el.Value.(*cacheEntry).res) {
+				c.remove(el)
+				purged++
 			}
-			ent.env.epoch = newEpoch
-			c.insertGen(el)
 		}
 	}
-	return purged, survived
+	sweep(c.undeps)
+	for _, cons := range touched {
+		for _, con := range cons {
+			var smallest map[*list.Element]struct{}
+			for i := range con.NumClasses() {
+				if set := c.byClass[con.ClassAt(i)]; i == 0 || len(set) < len(smallest) {
+					smallest = set
+				}
+			}
+			sweep(smallest)
+		}
+	}
+	return purged, c.order.Len()
 }
 
 // len returns the current number of cached entries.

@@ -2,67 +2,76 @@ package sqo
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"sqo/internal/core"
 )
 
-// cacheQuery builds distinct single-class queries for cache keying; the
-// cache never inspects results, so empty Result values suffice.
+// cacheQuery builds distinct single-class queries for cache keying.
 func cacheQuery(class string) *Query {
 	return NewQuery(class).AddProject(class, "a")
 }
 
-// testKey builds an epoch-scoped cache key the way the engine does, minus
-// the symbol space (content hashing).
-func testKey(epoch uint64, q *Query) cacheKey {
-	return cacheKey{epoch: epoch, fp: Fingerprint(q)}
+// cached builds the result the cache files for q: its Original is q and its
+// dependency set is known (and empty), so the cache files it under q's
+// classes.
+func cached(q *Query) *Result {
+	return core.ComposeResult(q, q, false, nil, core.Stats{}, nil, []int32{})
 }
 
 // TestCacheCapacityOne: the degenerate LRU — every distinct put evicts the
 // previous entry, refreshes never evict.
 func TestCacheCapacityOne(t *testing.T) {
 	c := newResultCache(1)
-	ka := testKey(0, cacheQuery("a"))
-	kb := testKey(0, cacheQuery("b"))
-	ra, rb := &Result{}, &Result{}
+	qa, qb := cacheQuery("a"), cacheQuery("b")
+	ka, kb := Fingerprint(qa), Fingerprint(qb)
+	ra, rb := cached(qa), cached(qb)
 
-	c.put(ka, ra)
-	if got, ok := c.get(ka); !ok || got != ra {
+	c.put(ka, 0, ra)
+	if got, ok := c.get(ka, 0); !ok || got != ra {
 		t.Fatalf("get(a) = %v, %v after put", got, ok)
 	}
-	c.put(kb, rb)
+	c.put(kb, 0, rb)
 	if c.len() != 1 {
 		t.Fatalf("len = %d at capacity 1", c.len())
 	}
-	if _, ok := c.get(ka); ok {
+	if _, ok := c.get(ka, 0); ok {
 		t.Fatal("a survived eviction at capacity 1")
 	}
-	if got, ok := c.get(kb); !ok || got != rb {
+	if got, ok := c.get(kb, 0); !ok || got != rb {
 		t.Fatalf("get(b) = %v, %v after eviction of a", got, ok)
 	}
 	if ev := c.evictions.Load(); ev != 1 {
 		t.Fatalf("evictions = %d, want 1", ev)
 	}
 	// A refresh of the resident key must not evict.
-	c.put(kb, ra)
+	rb2 := cached(qb)
+	c.put(kb, 0, rb2)
 	if ev := c.evictions.Load(); ev != 1 {
 		t.Fatalf("evictions after refresh = %d, want still 1", ev)
 	}
-	if got, _ := c.get(kb); got != ra {
+	if got, _ := c.get(kb, 0); got != rb2 {
 		t.Fatal("refresh did not replace the resident result")
+	}
+	if n := len(c.byClass["b"]); n != 1 || len(c.byClass) != 1 {
+		t.Fatalf("class postings after refresh = %v, want b alone holding one entry", c.byClass)
 	}
 }
 
-// TestCacheEpochBumpConcurrent: readers and writers race an epoch bump (the
-// cache-side shape of SwapCatalog: purge + new key prefix). Old-epoch
-// results must never surface under new-epoch keys, no matter how the purge
-// interleaves with in-flight puts.
+// TestCacheEpochBumpConcurrent: readers and writers race a purge into
+// epoch 1 (the cache-side shape of SwapCatalog). Once purge has returned,
+// no reader at the new epoch sees a result of the old one, however the
+// purge interleaves with in-flight puts of the old generation — those are
+// refused from then on.
 func TestCacheEpochBumpConcurrent(t *testing.T) {
 	c := newResultCache(128)
 	classes := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	oldRes, newRes := &Result{}, &Result{}
 
+	var purged atomic.Bool
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for w := 0; w < 8; w++ {
@@ -71,67 +80,200 @@ func TestCacheEpochBumpConcurrent(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 500; i++ {
-				q := cacheQuery(classes[(w+i)%len(classes)])
-				c.put(testKey(0, q), oldRes)
-				if res, ok := c.get(testKey(1, q)); ok && res != newRes {
-					t.Errorf("old-epoch result served under new-epoch key")
+				key := Fingerprint(cacheQuery(classes[(w+i)%len(classes)]))
+				// An optimization of the old generation finishing now.
+				c.put(key, 0, oldRes)
+				if !purged.Load() {
+					c.get(key, 0)
+					continue
+				}
+				// A reader on the new generation: it exists only once
+				// the purge has returned, as the engine publishes after.
+				if res, ok := c.get(key, 1); ok && res != newRes {
+					t.Errorf("old-generation result served at the new epoch")
 					return
 				}
-				c.put(testKey(1, q), newRes)
-				c.get(testKey(0, q))
+				c.put(key, 1, newRes)
 			}
 		}(w)
 	}
-	// The epoch bump itself, racing the traffic.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		<-start
-		c.purge()
+		c.purge(1)
+		purged.Store(true)
 	}()
 	close(start)
 	wg.Wait()
 
-	// After the dust settles a fresh purge empties it, and new-epoch keys
-	// repopulate cleanly.
-	c.purge()
-	if c.len() != 0 {
-		t.Fatalf("len = %d after purge", c.len())
+	// An orphan put is refused; the new generation's puts serve.
+	q := cacheQuery("z")
+	c.put(Fingerprint(q), 0, oldRes)
+	if _, ok := c.get(Fingerprint(q), 1); ok {
+		t.Fatal("orphan put of the old generation was accepted")
 	}
-	q := cacheQuery("a")
-	c.put(testKey(1, q), newRes)
-	if res, ok := c.get(testKey(1, q)); !ok || res != newRes {
+	c.put(Fingerprint(q), 1, newRes)
+	if res, ok := c.get(Fingerprint(q), 1); !ok || res != newRes {
 		t.Fatal("cache unusable after concurrent epoch bump")
 	}
 }
 
-// TestCacheUpdateEpochFence: update re-stamps only entries of the epoch
-// being replaced. An entry stamped with any other epoch is an in-flight put
-// that landed after its generation died — it was never validated against
-// the deltas in between, so re-stamping it would launder a stale result
-// into the live epoch.
+// TestCacheUpdateEpochFence: update reconciles the cache with the new
+// epoch without touching the entries it lets stand. A survivor, born on an
+// older generation, serves readers of every generation since; a put
+// computed on a generation older than the cache's is refused; and an entry
+// born on a newer generation is absent to a reader still on an older one.
 func TestCacheUpdateEpochFence(t *testing.T) {
 	c := newResultCache(8)
-	qa, qb, qc := cacheQuery("a"), cacheQuery("b"), cacheQuery("c")
-	resA, resB, resC := &Result{}, &Result{}, &Result{}
-	c.put(testKey(1, qa), resA) // current generation: must survive
-	c.put(testKey(0, qb), resB) // orphan from a replaced generation: must drop
-	c.put(testKey(2, qc), resC) // impossible future stamp: must drop too
+	qa, qb, qu := cacheQuery("a"), cacheQuery("b"), cacheQuery("u")
+	// resU's dependency set is unknown: every update drops it.
+	resA, resB, resU := cached(qa), cached(qb), &Result{Original: qu}
+	c.put(Fingerprint(qa), 1, resA) // the delta cannot reach it: must survive
+	c.put(Fingerprint(qb), 1, resB) // the delta condemns it: must drop
+	c.put(Fingerprint(qu), 1, resU)
 
-	purged, survived := c.update(1, 2, func(*Result) bool { return false })
+	onB := NewConstraint("rb", []Predicate{Eq("b", "x", IntValue(1))}, nil, Eq("b", "y", IntValue(2)))
+	purged, survived := c.update(2, func(r *Result) bool {
+		return r.Deps() == nil || r == resB
+	}, []*Constraint{onB})
 	if purged != 2 || survived != 1 {
 		t.Fatalf("update purged %d / survived %d, want 2/1", purged, survived)
 	}
-	if res, ok := c.get(testKey(2, qa)); !ok || res != resA {
-		t.Fatal("current-epoch entry was not re-stamped into the new epoch")
+	if c.visited != 2 {
+		t.Fatalf("update visited %d entries, want 2 (the b posting and the unknown-dependency entry)", c.visited)
 	}
-	for _, probe := range []cacheKey{testKey(0, qb), testKey(2, qb), testKey(2, qc)} {
-		if _, ok := c.get(probe); ok {
-			t.Fatalf("orphan entry reachable under %+v", probe)
+	for _, epoch := range []uint64{1, 2} {
+		if res, ok := c.get(Fingerprint(qa), epoch); !ok || res != resA {
+			t.Fatalf("survivor born at epoch 1 not served to a reader at epoch %d", epoch)
 		}
 	}
-	if c.len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", c.len())
+	// An orphan: computed on generation 1, landing after the sweep.
+	c.put(Fingerprint(qb), 1, resB)
+	if _, ok := c.get(Fingerprint(qb), 2); ok {
+		t.Fatal("orphan put of a replaced generation was accepted")
+	}
+	// A result of the new generation is absent to a reader of the old.
+	qc := cacheQuery("c")
+	resC := cached(qc)
+	c.put(Fingerprint(qc), 2, resC)
+	if _, ok := c.get(Fingerprint(qc), 1); ok {
+		t.Fatal("entry born at epoch 2 served to a reader at epoch 1")
+	}
+	if res, ok := c.get(Fingerprint(qc), 2); !ok || res != resC {
+		t.Fatal("entry born at epoch 2 not served at epoch 2")
+	}
+	if c.len() != 2 {
+		t.Fatalf("cache holds %d entries, want 2", c.len())
+	}
+}
+
+// TestCacheDropGenClearsSlot: evicting the last element of an envelope
+// bucket must not leave the vacated slot of the bucket's backing array
+// pointing at it, or the array pins the evicted result.
+func TestCacheDropGenClearsSlot(t *testing.T) {
+	c := newResultCache(3)
+	c.enableSubsumption()
+	base := func() *Query { return NewQuery("a").AddProject("a", "id") }
+	qs := []*Query{
+		base().AddSelect(Eq("a", "x", IntValue(1))),
+		base().AddSelect(Eq("a", "x", IntValue(1))).AddSelect(Eq("a", "y", IntValue(2))),
+		base().AddSelect(Eq("a", "x", IntValue(1))).AddSelect(Eq("a", "y", IntValue(2))).AddSelect(Eq("a", "z", IntValue(3))),
+	}
+	env := envelopeFingerprint(qs[0])
+	for _, q := range qs {
+		c.putGen(Fingerprint(q), env, 0, q, cached(q))
+	}
+	bucket := c.gens[env]
+	if len(bucket) != 3 {
+		t.Fatalf("bucket holds %d entries, want 3", len(bucket))
+	}
+	victim := bucket[2] // the most selective: last in the bucket
+	// Refresh the other two so the victim is least recently used, then
+	// evict it with an entry of another envelope.
+	c.get(Fingerprint(qs[0]), 0)
+	c.get(Fingerprint(qs[1]), 0)
+	other := NewQuery("b").AddProject("b", "id")
+	c.putGen(Fingerprint(other), envelopeFingerprint(other), 0, other, cached(other))
+	if _, ok := c.get(Fingerprint(qs[2]), 0); ok {
+		t.Fatal("the victim was not evicted")
+	}
+	for i, el := range bucket[:cap(bucket)] {
+		if el == victim {
+			t.Fatalf("slot %d of the bucket's backing array still references the evicted entry", i)
+		}
+	}
+}
+
+// TestUpdateSweepVisitsClassPostings is the counted-work gate of cache
+// invalidation: a 1-rule delta visits exactly the cached entries whose
+// query holds the rule's class, and a rule on a class no cached query
+// holds visits none — however large the cache and the catalog.
+func TestUpdateSweepVisitsClassPostings(t *testing.T) {
+	for _, n := range []int{100, 1000, 10000} {
+		sch, cat, err := GenerateScaledWorld(ScaledConfig{Constraints: n, Seed: int64(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := sch.Classes()
+		// The last class of the chain is held by no cached query: the
+		// fill below skips every query that names it.
+		unheld := fmt.Sprintf("k%03d", len(classes)-1)
+		qs, err := ScaledWorkload(sch, cat, 6000, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, capacity := range []int{64, 4096} {
+			eng, err := NewEngine(sch, WithCatalog(cat),
+				WithCache(CacheConfig{Capacity: capacity, Canonicalize: true, Subsume: true}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range qs {
+				if q.HasClass(unheld) {
+					continue
+				}
+				if _, err := eng.Optimize(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A class some cached query holds: the most recent entry's.
+			c := eng.cache
+			c.mu.Lock()
+			held := c.order.Front().Value.(*cacheEntry).res.Original.Classes[0]
+			c.mu.Unlock()
+			for k, class := range []string{held, unheld} {
+				holders := 0
+				c.mu.Lock()
+				for el := c.order.Front(); el != nil; el = el.Next() {
+					if el.Value.(*cacheEntry).res.Original.HasClass(class) {
+						holders++
+					}
+				}
+				size, before := c.order.Len(), c.visited
+				c.mu.Unlock()
+				rule := NewConstraint(fmt.Sprintf("sweep%d", k),
+					[]Predicate{Eq(class, "kind", StringValue(fmt.Sprintf("sweep-%d", k)))}, nil,
+					Sel(class, "load", OpLE, IntValue(int64(7000+k))))
+				rep, err := eng.UpdateCatalog(NewCatalogDelta().AddConstraints(rule))
+				if err != nil {
+					t.Fatal(err)
+				}
+				visited := c.visited - before
+				t.Logf("%d rules, capacity %d: rule on %s visited %d of %d entries", n, capacity, class, visited, size)
+				if visited != int64(holders) {
+					t.Errorf("%d rules, capacity %d: rule on %s visited %d entries, want the %d holding the class",
+						n, capacity, class, visited, holders)
+				}
+				if class == held && visited == 0 || class == unheld && visited != 0 {
+					t.Errorf("%d rules, capacity %d: rule on %s visited %d entries", n, capacity, class, visited)
+				}
+				if rep.CacheSurvived != size-rep.CachePurged || rep.CacheSurvived != eng.Stats().Cache.Size {
+					t.Errorf("%d rules, capacity %d: report %+v disagrees with %d cached before and %d after",
+						n, capacity, rep, size, eng.Stats().Cache.Size)
+				}
+			}
+		}
 	}
 }
 
@@ -155,12 +297,12 @@ func TestCacheStatsConsistency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iterations; i++ {
-				key := testKey(uint64(i%3), cacheQuery(classes[(w*7+i)%len(classes)]))
+				key := Fingerprint(cacheQuery(classes[(w*7+i)%len(classes)]))
 				if i%2 == 0 {
-					c.get(key)
+					c.get(key, uint64(i%3))
 					gets.Add(1)
 				} else {
-					c.put(key, res)
+					c.put(key, uint64(i%3), res)
 					puts.Add(1)
 				}
 			}

@@ -53,15 +53,15 @@ func (e *Engine) QuarantineEntries() []resilience.QuarantineEntry { return e.qua
 // or build is gone".
 func (e *Engine) QuarantineReset() int { return e.quar.Reset() }
 
-// quarKey is the quarantine identity of one optimization: the cache key's
-// fingerprint when caching computed one anyway, the plain query fingerprint
-// otherwise.
-func (e *Engine) quarKey(st *engineState, key cacheKey, q *Query) resilience.Key {
-	if e.cache != nil {
-		return resilience.Key{key.fp.Hi, key.fp.Lo}
+// quarKey is the quarantine identity of one optimization: the cache key
+// when caching computed one anyway, the query's fingerprint otherwise.
+// Both hash content only, so a quarantined query stays quarantined across
+// catalog generations.
+func (e *Engine) quarKey(key QueryFingerprint, q *Query) resilience.Key {
+	if e.cache == nil {
+		key = Fingerprint(q)
 	}
-	fp := fingerprintWith(q, st.syms)
-	return resilience.Key{fp.Hi, fp.Lo}
+	return resilience.Key{key.Hi, key.Lo}
 }
 
 // optimizeGuarded runs the cold optimization with panic containment: a
@@ -91,14 +91,14 @@ func (e *Engine) executeGuarded(q *Query, fn func() (*Execution, error)) (out *E
 	defer func() {
 		if rec := recover(); rec != nil {
 			e.panicsRecovered.Add(1)
-			fp := fingerprintWith(q, e.state.Load().syms)
+			fp := Fingerprint(q)
 			msg := fmt.Sprintf("%v", rec)
 			n := e.quar.Strike(resilience.Key{fp.Hi, fp.Lo}, msg)
 			out, err = nil, fmt.Errorf("sqo: executor panic (recovered, strike %d): %s", n, msg)
 		}
 	}()
 	if e.faults != nil {
-		fp := fingerprintWith(q, e.state.Load().syms)
+		fp := Fingerprint(q)
 		if e.faults.ShouldPanic("execute.panic", fp.Hi^fp.Lo) {
 			panic("faultinject: execute.panic")
 		}

@@ -257,6 +257,35 @@ func TestQuarantineAfterRepeatedPanics(t *testing.T) {
 	if _, err := eng.Optimize(ctx, q); err == nil || !strings.Contains(err.Error(), "strike 1") {
 		t.Fatalf("post-reset err = %v, want the query re-armed at strike 1", err)
 	}
+
+	// A catalog delta does not re-arm a quarantined query. With a cache
+	// on, the quarantine key is the cache key; a delta that interns the
+	// query's predicate (in an antecedent of a rule irrelevant to the
+	// query) must not move it.
+	cached, err := sqo.NewEngine(datagen.Schema(), sqo.WithCatalog(datagen.Constraints()),
+		sqo.WithCache(sqo.CacheConfig{Capacity: 16}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// driver.licenseClass >= 9 appears in no logistics constraint.
+	poison := sqo.NewQuery("driver").
+		AddProject("driver", "name").
+		AddSelect(sqo.Sel("driver", "licenseClass", sqo.OpGE, sqo.IntValue(9)))
+	for strike := 1; strike <= 2; strike++ {
+		if _, err := cached.Optimize(ctx, poison); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("strike %d", strike)) {
+			t.Fatalf("cached engine attempt %d: err = %v, want recovered panic with strike %d", strike, err, strike)
+		}
+	}
+	interning := sqo.NewConstraint("zquar",
+		[]sqo.Predicate{sqo.Sel("driver", "licenseClass", sqo.OpGE, sqo.IntValue(9))},
+		[]string{"drives"},
+		sqo.Sel("vehicle", "class", sqo.OpLE, sqo.IntValue(9)))
+	if _, err := cached.UpdateCatalog(sqo.NewCatalogDelta().AddConstraints(interning)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cached.Optimize(ctx, poison); !errors.As(err, &qe) {
+		t.Fatalf("after a delta interning its predicate: err = %v, want QuarantinedError", err)
+	}
 }
 
 // TestExecutePanicRecovered pins the execution-side guard: an injected panic

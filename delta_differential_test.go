@@ -17,7 +17,10 @@ import (
 // per-query stats, and index shape — to a from-scratch engine built over the
 // final catalog. It sweeps the paper's logistics world plus scaled worlds at
 // 10² and 10³ constraints, re-verifying the full workload after every delta
-// round; well over a thousand query comparisons per world set.
+// round; well over a thousand query comparisons per world set. The mutated
+// engine's semantic cache holds the whole workload, so every entry an
+// update's sweep lets stand is compared with the reference in the next
+// round.
 func TestDeltaDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep")
@@ -58,7 +61,9 @@ func TestDeltaDifferential(t *testing.T) {
 // runDeltaDifferential starts an engine on a random subset of cat, applies
 // several random delta rounds, and after every round compares the mutated
 // engine against a from-scratch engine over the engine's own declared
-// catalog. Returns the number of per-query comparisons performed.
+// catalog. The reference runs uncached on each query's canonical form,
+// which is what the mutated engine optimizes on a miss. Returns the number
+// of per-query comparisons performed.
 func runDeltaDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sqo.Catalog, qs []*sqo.Query, seed int64) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -84,9 +89,14 @@ func runDeltaDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sqo.
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(startCat), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
+	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(startCat),
+		sqo.WithCache(sqo.CacheConfig{Capacity: 4096, Canonicalize: true, Subsume: true}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	canonical := make([]*sqo.Query, len(qs))
+	for i, q := range qs {
+		canonical[i], _ = sqo.CanonicalizeQuery(q)
 	}
 
 	live := append([]*sqo.Constraint(nil), start...)
@@ -140,8 +150,8 @@ func runDeltaDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sqo.
 		if got, want := eng.Stats().ConstraintIndex, ref.Stats().ConstraintIndex; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s round %d: index stats diverge\npatched: %+v\nscratch: %+v", label, round, got, want)
 		}
-		for _, q := range qs {
-			diffDelta(t, fmt.Sprintf("%s round %d", label, round), eng, ref, q)
+		for i, q := range qs {
+			diffDeltaAs(t, fmt.Sprintf("%s round %d", label, round), eng, q, ref, canonical[i])
 			checked++
 		}
 	}
@@ -153,14 +163,21 @@ func runDeltaDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sqo.
 // preserved by construction, so even order-sensitive statistics must agree).
 func diffDelta(t *testing.T, label string, mutated, scratch *sqo.Engine, q *sqo.Query) {
 	t.Helper()
+	diffDeltaAs(t, label, mutated, q, scratch, q)
+}
+
+// diffDeltaAs is diffDelta with the from-scratch engine optimizing ref in
+// place of q.
+func diffDeltaAs(t *testing.T, label string, mutated *sqo.Engine, q *sqo.Query, scratch *sqo.Engine, ref *sqo.Query) {
+	t.Helper()
 	ctx := context.Background()
 	a, err := mutated.Optimize(ctx, q)
 	if err != nil {
 		t.Fatalf("%s: delta-built optimize: %v\n%s", label, err, q)
 	}
-	b, err := scratch.Optimize(ctx, q)
+	b, err := scratch.Optimize(ctx, ref)
 	if err != nil {
-		t.Fatalf("%s: from-scratch optimize: %v\n%s", label, err, q)
+		t.Fatalf("%s: from-scratch optimize: %v\n%s", label, err, ref)
 	}
 	if got, want := a.Optimized.String(), b.Optimized.String(); got != want {
 		t.Fatalf("%s: outputs diverge\nquery:   %s\npatched: %s\nscratch: %s", label, q, got, want)

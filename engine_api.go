@@ -272,8 +272,7 @@ func (e *Engine) effectiveCoreOpts() Options {
 // buildState materializes one catalog generation: validate, compile the
 // interned symbol space, build the inverted index over it, and construct the
 // optimizer. The symbol space is compiled exactly once per generation and
-// shared by the index, the optimizer's transformation tables and the result
-// cache's key hashing.
+// shared by the index and the optimizer's transformation tables.
 func (e *Engine) buildState(cat *Catalog, epoch uint64) (*engineState, error) {
 	if err := cat.Validate(e.schema); err != nil {
 		return nil, fmt.Errorf("sqo: catalog does not fit the schema: %w", err)
@@ -304,13 +303,13 @@ func (e *Engine) Optimize(ctx context.Context, q *Query) (*Result, error) {
 	// shortcut, and disabling canonicalization keys the cache by the raw
 	// fingerprint — a raw-keyed and a canonical-keyed entry can only collide
 	// when the query already is its own canonical form, in which case they
-	// are the same bytes (see canonFingerprintWith).
+	// are the same bytes (see canonFingerprint).
 	level := int(e.degrade.Load())
 	// tr is this request's span recorder (nil for the overwhelming
 	// majority of traffic); every use below is nil-safe and free of both
 	// allocations and clock reads when disabled.
 	tr := obs.FromContext(ctx)
-	var key cacheKey
+	var key QueryFingerprint
 	canonMode := e.cache != nil && e.cfg.cache.Canonicalize && level < resilience.LevelNoCanon
 	var red *canon.Reduction
 	if e.cache != nil {
@@ -321,14 +320,14 @@ func (e *Engine) Optimize(ctx context.Context, q *Query) (*Result, error) {
 			// implied or mergeable conjuncts) collapse to one key
 			// without materializing a query on the hit path.
 			red = reductionPool.Get().(*canon.Reduction)
-			key = cacheKey{epoch: st.epoch, fp: canonFingerprintWith(q, st.syms, red)}
+			key = canonFingerprint(q, red)
 			tr.EndSpan(obs.StageCanon, at)
 			at = tr.StartSpan()
 		} else {
-			key = cacheKeyFor(st, q)
+			key = Fingerprint(q)
 		}
-		tr.SetFingerprint(key.fp.Hi, key.fp.Lo)
-		res, ok := e.cache.get(key)
+		tr.SetFingerprint(key.Hi, key.Lo)
+		res, ok := e.cache.get(key, st.epoch)
 		tr.EndSpan(obs.StageCacheProbe, at)
 		if ok {
 			if canonMode {
@@ -346,7 +345,7 @@ func (e *Engine) Optimize(ctx context.Context, q *Query) (*Result, error) {
 	// sits past the cache lookup on purpose — the 0-alloc hit path never
 	// pays for it, and a poison query cannot be cached (it never produced a
 	// result).
-	qk := e.quarKey(st, key, q)
+	qk := e.quarKey(key, q)
 	tr.SetFingerprint(qk[0], qk[1])
 	if e.quar.Blocked(qk) {
 		if canonMode {
@@ -389,10 +388,9 @@ func (e *Engine) Optimize(ctx context.Context, q *Query) (*Result, error) {
 	e.optimizations.Add(1)
 	if e.cache != nil {
 		if e.subsume && canonMode {
-			env := cacheKey{epoch: st.epoch, fp: envelopeFingerprintWith(runQ, st.syms)}
-			e.cache.putGen(key, env, runQ, res)
+			e.cache.putGen(key, envelopeFingerprint(runQ), st.epoch, runQ, res)
 		} else {
-			e.cache.put(key, res)
+			e.cache.put(key, st.epoch, res)
 		}
 	}
 	return res, nil
@@ -465,9 +463,10 @@ feed:
 // SwapCatalog atomically replaces the engine's declared constraint catalog:
 // the symbol space and constraint index are rebuilt off to the side, then
 // published with a single pointer store. In-flight optimizations finish
-// against the old generation; the result cache is invalidated so no stale
-// optimization is ever served. On error the engine keeps serving the old
-// catalog.
+// against the old generation; the result cache is purged before the new
+// generation is published, and from then on refuses results computed on
+// the old one, so no stale optimization is ever served. On error the
+// engine keeps serving the old catalog.
 //
 // This is the knob for derived state rules (DeriveRules): merge them in when
 // mined, swap the declared set back in when the data shifts.
@@ -481,12 +480,15 @@ func (e *Engine) SwapCatalog(cat *Catalog) error {
 	if err != nil {
 		return err
 	}
+	// Purge before publishing: a reader on the new generation must never
+	// meet an entry of the old one, and the purge's fence refuses the old
+	// generation's in-flight puts.
+	if e.cache != nil {
+		e.cache.purge(st.epoch)
+	}
 	e.state.Store(st)
 	e.mut, e.idxLin = nil, nil // a full rebuild starts a fresh ordinal lineage
 	e.swaps.Add(1)
-	if e.cache != nil {
-		e.cache.purge()
-	}
 	return nil
 }
 
@@ -498,8 +500,10 @@ func (e *Engine) SwapCatalog(cat *Catalog) error {
 // leave tombstoned ordinals), and the result cache is invalidated
 // surgically: only entries whose recorded dependency set intersects the
 // delta — they consulted a removed constraint, or an added constraint is
-// relevant to their query — are dropped, while every other entry is
-// re-stamped into the new epoch and keeps serving.
+// relevant to their query — are dropped, while every other entry keeps
+// serving as it is. The sweep reaches its candidates through the cache's
+// class postings, so it costs the entries the delta's classes reach, not
+// the size of the cache.
 //
 // In-flight optimizations finish against the old generation, exactly as
 // with SwapCatalog. On error (unknown removal ID, invalid constraint,
@@ -561,10 +565,11 @@ func (e *Engine) UpdateCatalog(d *CatalogDelta) (UpdateReport, error) {
 		Incremental: true,
 	}
 	// Sweep before publishing: no reader can hold the new generation yet,
-	// so every entry the sweep sees is old-epoch-keyed (see cache.update).
+	// and once the sweep returns the cache refuses results computed on
+	// the old one (see cache.update).
 	if e.cache != nil {
-		rep.CachePurged, rep.CacheSurvived = e.cache.update(cur.epoch, st.epoch,
-			purgeCheck(plan, cur.syms, newSyms))
+		rep.CachePurged, rep.CacheSurvived = e.cache.update(st.epoch, purgeCheck(plan),
+			plan.Removed, plan.Added)
 		e.cachePurged.Add(int64(rep.CachePurged))
 		e.cacheSurvived.Add(int64(rep.CacheSurvived))
 	}
@@ -586,30 +591,29 @@ func (e *Engine) rebuildWith(cur *engineState, d *CatalogDelta) (UpdateReport, e
 	if err != nil {
 		return UpdateReport{}, err
 	}
-	e.state.Store(st)
-	e.mut, e.idxLin = nil, nil
-	e.updates.Add(1)
 	rep := UpdateReport{
 		Added:   len(plan.Added),
 		Removed: len(plan.RemovedOrds),
 		Epoch:   st.epoch,
 	}
+	// Purge before publishing, as SwapCatalog does.
 	if e.cache != nil {
-		rep.CachePurged = e.cache.purge()
+		rep.CachePurged = e.cache.purge(st.epoch)
 		e.cachePurged.Add(int64(rep.CachePurged))
 	}
+	e.state.Store(st)
+	e.mut, e.idxLin = nil, nil
+	e.updates.Add(1)
 	return rep, nil
 }
 
 // purgeCheck builds the surgical invalidation predicate of one delta: drop
 // a cached result when its dependency set contains a removed constraint,
 // when an added constraint is relevant to its query (it would change the
-// relevant set, and so possibly the output), when the delta interned one of
-// the query's symbols (the fingerprint basis shifts from content to ID
-// hashing, so the re-stamped key could never be hit again), or when its
-// dependency set is unknown. Everything else provably optimizes identically
-// — and fingerprints identically — under the new generation and survives.
-func purgeCheck(plan delta.Plan, oldSyms, newSyms *symtab.Table) func(*Result) bool {
+// relevant set, and so possibly the output), or when its dependency set is
+// unknown. Everything else provably optimizes identically under the new
+// generation and survives.
+func purgeCheck(plan delta.Plan) func(*Result) bool {
 	var maxOrd int32 = -1
 	for _, ord := range plan.RemovedOrds {
 		if ord > maxOrd {
@@ -620,9 +624,6 @@ func purgeCheck(plan delta.Plan, oldSyms, newSyms *symtab.Table) func(*Result) b
 	for _, ord := range plan.RemovedOrds {
 		removed[ord/64] |= 1 << (ord % 64)
 	}
-	oldPreds, oldAttrs, oldClasses := oldSyms.NumPreds(), oldSyms.NumAttrs(), oldSyms.NumClasses()
-	symbolsGrew := newSyms.NumPreds() > oldPreds ||
-		newSyms.NumAttrs() > oldAttrs || newSyms.NumClasses() > oldClasses
 	return func(r *Result) bool {
 		deps := r.Deps()
 		if deps == nil {
@@ -638,9 +639,6 @@ func purgeCheck(plan delta.Plan, oldSyms, newSyms *symtab.Table) func(*Result) b
 				return true
 			}
 		}
-		if symbolsGrew && fingerprintShifted(r.Original, newSyms, oldPreds, oldAttrs, oldClasses) {
-			return true
-		}
 		return false
 	}
 }
@@ -655,9 +653,10 @@ type UpdateReport struct {
 	// Incremental is true when the generation was patched in place-by-copy;
 	// false when tombstone compaction folded the delta into a full rebuild.
 	Incremental bool
-	// CachePurged and CacheSurvived count the result-cache entries dropped
-	// by the delta and re-stamped into the new epoch. Both zero when
-	// caching is disabled; a compaction rebuild purges every entry.
+	// CachePurged counts the result-cache entries the delta dropped;
+	// CacheSurvived counts the entries left cached after the update, which
+	// keep serving under the new generation. Both zero when caching is
+	// disabled; a compaction rebuild purges every entry.
 	CachePurged, CacheSurvived int
 }
 
@@ -700,8 +699,7 @@ type CacheStats struct {
 	Size     int
 	Capacity int
 	// UpdatePurged and UpdateSurvived are cumulative counts of entries
-	// dropped by incremental catalog updates versus re-stamped into the
-	// new epoch.
+	// dropped by incremental catalog updates versus left cached by them.
 	UpdatePurged   int64
 	UpdateSurvived int64
 	// Canonicalize and Subsume echo the active cache configuration

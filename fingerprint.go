@@ -3,7 +3,6 @@ package sqo
 import (
 	"sqo/internal/canon"
 	"sqo/internal/predicate"
-	"sqo/internal/symtab"
 )
 
 // QueryFingerprint is the canonical 128-bit identity of a query: an
@@ -14,9 +13,10 @@ import (
 // concatenation, which is what lets a cache hit serve with zero heap
 // allocations.
 //
-// Fingerprints are comparable and usable as map keys. They are stable only
-// within a process (and, for the engine's internal keys, within a catalog
-// generation); do not persist them.
+// Fingerprints are comparable and usable as map keys. They hash content
+// only (64-bit FNV-1a items, splitmix64 folds), so they are the same in
+// every process and under every catalog generation: the result cache,
+// the quarantine register and traces all key on this one value.
 type QueryFingerprint struct {
 	Hi, Lo uint64
 }
@@ -36,244 +36,139 @@ func (f QueryFingerprint) String() string {
 	return string(buf[:])
 }
 
-// Fingerprint returns the canonical cache identity of a query, hashing its
-// content (predicate keys, class and relationship names). The engine's
-// result cache uses the interned-ID variant internally; this content form is
-// catalog-independent.
-func Fingerprint(q *Query) QueryFingerprint { return fingerprintWith(q, nil) }
+// Fingerprint returns the canonical cache identity of a query. It hashes
+// content only — predicate keys, class, attribute and relationship names —
+// so it depends on no catalog: interning a symbol never moves a query's
+// fingerprint, and every process computes the same value. Per-section
+// accumulators are commutative (sum/xor), so list order cannot perturb the
+// result and nothing is sorted — the whole computation touches no heap.
+func Fingerprint(q *Query) QueryFingerprint {
+	var a fpAcc
+	a.project(q)
+	for _, p := range q.Joins {
+		a.item(fpPred(p))
+	}
+	a.flush('J')
+	for _, p := range q.Selects {
+		a.item(fpPred(p))
+	}
+	a.flush('S')
+	a.relsAndClasses(q)
+	return a.f.final()
+}
 
 // CanonicalizeQuery returns the canonical form of q — duplicate and implied
 // conjuncts dropped, equal interval bounds merged into equalities, join
-// tautologies removed, all five lists sorted — together with its
-// catalog-independent content fingerprint. Queries with the same canonical
-// form share one result-cache slot when the engine runs with
-// CacheConfig.Canonicalize. When q is already canonical it is returned
-// as-is; otherwise a fresh query is built and q is never mutated.
+// tautologies removed, all five lists sorted — together with its content
+// fingerprint. Queries with the same canonical form share one result-cache
+// slot when the engine runs with CacheConfig.Canonicalize. When q is
+// already canonical it is returned as-is; otherwise a fresh query is built
+// and q is never mutated.
 func CanonicalizeQuery(q *Query) (*Query, QueryFingerprint) {
 	cq, _ := canon.Canonical(q)
 	return cq, Fingerprint(cq)
 }
 
-// Domain seeds keep the item-hash spaces of IDs, content hashes and the five
-// sections from aliasing each other.
-const (
-	fpSeedPred    = 0x9ddfea08eb382d69
-	fpSeedAttrID  = 0xc2b2ae3d27d4eb4f
-	fpSeedClassID = 0x165667b19e3779f9
-	fpSeedContent = 0x27d4eb2f165667c5
-)
+// fpSeedContent keeps predicate hashes out of the item-hash space of the
+// plain name hashes.
+const fpSeedContent = 0x27d4eb2f165667c5
 
-// fingerprintWith hashes a query into 128 bits, resolving symbols through
-// the catalog generation's interned symbol space when one is supplied:
-// predicates, attributes and classes known to the catalog hash as their
-// dense IDs (one map probe on an already-built key, then integer mixing),
-// everything else as content. Per-section accumulators are commutative
-// (sum/xor), so list order cannot perturb the result and nothing is sorted —
-// the whole computation touches no heap.
-func fingerprintWith(q *Query, syms *symtab.Table) QueryFingerprint {
-	var f fpFold
-	var sum, xor uint64
-	n := 0
-	item := func(h uint64) {
-		sum += h
-		xor ^= h
-		n++
-	}
-	flush := func(tag uint64) {
-		f.fold(tag, sum, xor, n)
-		sum, xor, n = 0, 0, 0
-	}
-
-	for _, a := range q.Project {
-		item(fpAttrRef(a, syms))
-	}
-	flush('P')
-	for _, p := range q.Joins {
-		item(fpPred(p, syms))
-	}
-	flush('J')
-	for _, p := range q.Selects {
-		item(fpPred(p, syms))
-	}
-	flush('S')
-	for _, r := range q.Relationships {
-		item(fpString(r))
-	}
-	flush('R')
-	for _, c := range q.Classes {
-		if syms != nil {
-			if id, ok := syms.ClassID(c); ok && int(id) < syms.NumClasses() {
-				item(fpMix(fpSeedClassID ^ uint64(id)))
-				continue
-			}
-		}
-		item(fpString(c))
-	}
-	flush('C')
-	return f.final()
-}
-
-// canonFingerprintWith hashes the *canonical form* of q — surviving joins
-// and selects after reduction, plus merged bounds — without materializing a
+// canonFingerprint hashes the *canonical form* of q — surviving joins and
+// selects after reduction, plus merged bounds — without materializing a
 // canonical query. Because the per-section folds are order-insensitive, the
-// result is by construction identical to fingerprintWith(canon.Canonicalize(q),
-// syms): canonicalization only drops, adds and sorts, and sorting is
-// invisible to the fold. The reduction scratch is supplied by the caller
-// (the engine pools it), so the lookup path stays allocation-free.
-func canonFingerprintWith(q *Query, syms *symtab.Table, red *canon.Reduction) QueryFingerprint {
+// result is by construction identical to Fingerprint(canon.Canonicalize(q)):
+// canonicalization only drops, adds and sorts, and sorting is invisible to
+// the fold. The reduction scratch is supplied by the caller (the engine
+// pools it), so the lookup path stays allocation-free.
+func canonFingerprint(q *Query, red *canon.Reduction) QueryFingerprint {
 	canon.Reduce(q, red)
-	var f fpFold
-	var sum, xor uint64
-	n := 0
-	item := func(h uint64) {
-		sum += h
-		xor ^= h
-		n++
-	}
-	flush := func(tag uint64) {
-		f.fold(tag, sum, xor, n)
-		sum, xor, n = 0, 0, 0
-	}
-
-	for _, a := range q.Project {
-		item(fpAttrRef(a, syms))
-	}
-	flush('P')
+	var a fpAcc
+	a.project(q)
 	for i, p := range q.Joins {
 		if red.JoinKeep[i] {
-			item(fpPred(p, syms))
+			a.item(fpPred(p))
 		}
 	}
-	flush('J')
+	a.flush('J')
 	for i, p := range q.Selects {
 		if red.SelKeep[i] {
-			item(fpPred(p, syms))
+			a.item(fpPred(p))
 		}
 	}
 	for i, p := range red.Merged {
 		if red.SelKeep[len(q.Selects)+i] {
-			item(fpPred(p, syms))
+			a.item(fpPred(p))
 		}
 	}
-	flush('S')
-	for _, r := range q.Relationships {
-		item(fpString(r))
-	}
-	flush('R')
-	for _, c := range q.Classes {
-		if syms != nil {
-			if id, ok := syms.ClassID(c); ok && int(id) < syms.NumClasses() {
-				item(fpMix(fpSeedClassID ^ uint64(id)))
-				continue
-			}
-		}
-		item(fpString(c))
-	}
-	flush('C')
-	return f.final()
+	a.flush('S')
+	a.relsAndClasses(q)
+	return a.f.final()
 }
 
-// envelopeFingerprintWith hashes a query's subsumption envelope: projection,
+// envelopeFingerprint hashes a query's subsumption envelope: projection,
 // joins, relationships and classes — every part except the selective
 // predicates. Queries sharing an envelope are exactly the candidates for the
 // containment lookup (a cached generalization can only answer a query that
 // adds selective conjuncts). The caller passes an already-canonical query,
 // so no reduction runs here.
-func envelopeFingerprintWith(q *Query, syms *symtab.Table) QueryFingerprint {
-	var f fpFold
-	var sum, xor uint64
-	n := 0
-	item := func(h uint64) {
-		sum += h
-		xor ^= h
-		n++
-	}
-	flush := func(tag uint64) {
-		f.fold(tag, sum, xor, n)
-		sum, xor, n = 0, 0, 0
-	}
-
-	for _, a := range q.Project {
-		item(fpAttrRef(a, syms))
-	}
-	flush('P')
+func envelopeFingerprint(q *Query) QueryFingerprint {
+	var a fpAcc
+	a.project(q)
 	for _, p := range q.Joins {
-		item(fpPred(p, syms))
+		a.item(fpPred(p))
 	}
-	flush('J')
+	a.flush('J')
+	a.relsAndClasses(q)
+	return a.f.final()
+}
+
+// fpAcc accumulates one section's item hashes (order-insensitively) and
+// folds each finished section into the running 128-bit state.
+type fpAcc struct {
+	f        fpFold
+	sum, xor uint64
+	n        int
+}
+
+func (a *fpAcc) item(h uint64) {
+	a.sum += h
+	a.xor ^= h
+	a.n++
+}
+
+func (a *fpAcc) flush(tag uint64) {
+	a.f.fold(tag, a.sum, a.xor, a.n)
+	a.sum, a.xor, a.n = 0, 0, 0
+}
+
+func (a *fpAcc) project(q *Query) {
+	for _, r := range q.Project {
+		a.item(fpAttrRef(r))
+	}
+	a.flush('P')
+}
+
+func (a *fpAcc) relsAndClasses(q *Query) {
 	for _, r := range q.Relationships {
-		item(fpString(r))
+		a.item(fpString(r))
 	}
-	flush('R')
+	a.flush('R')
 	for _, c := range q.Classes {
-		if syms != nil {
-			if id, ok := syms.ClassID(c); ok && int(id) < syms.NumClasses() {
-				item(fpMix(fpSeedClassID ^ uint64(id)))
-				continue
-			}
-		}
-		item(fpString(c))
+		a.item(fpString(c))
 	}
-	flush('C')
-	return f.final()
+	a.flush('C')
 }
 
-// fingerprintShifted reports whether any symbol of q was interned after the
-// given generation bounds — i.e. whether q's fingerprint under the patched
-// symbol space differs from its fingerprint under the generation those
-// bounds describe (a symbol moves from content hashing to ID hashing the
-// generation it is interned; IDs themselves never move). The engine's
-// surgical invalidation purges such entries: their cache key basis changed,
-// so re-stamping them would just strand unreachable zombies.
-func fingerprintShifted(q *Query, syms *symtab.Table, oldPreds, oldAttrs, oldClasses int) bool {
-	for _, a := range q.Project {
-		if id, ok := syms.AttrID(a.Class, a.Attr); ok && int(id) >= oldAttrs {
-			return true
-		}
-	}
-	for _, p := range q.Joins {
-		if id, ok := syms.PredID(p); ok && int(id) >= oldPreds {
-			return true
-		}
-	}
-	for _, p := range q.Selects {
-		if id, ok := syms.PredID(p); ok && int(id) >= oldPreds {
-			return true
-		}
-	}
-	for _, c := range q.Classes {
-		if id, ok := syms.ClassID(c); ok && int(id) >= oldClasses {
-			return true
-		}
-	}
-	return false
-}
-
-// fpPred hashes one predicate: its dense PredID when the symbol space knows
-// it, its canonical key (precomputed at construction — no rebuild) otherwise.
-// The bound check pins resolution to the generation's own symbol count: a
-// patch lineage shares its maps, so an old generation could otherwise see
-// IDs a later one interned, making the same query's fingerprint drift
-// mid-generation.
-func fpPred(p Predicate, syms *symtab.Table) uint64 {
-	if syms != nil {
-		if id, ok := syms.PredID(p); ok && int(id) < syms.NumPreds() {
-			return fpMix(fpSeedPred ^ uint64(id))
-		}
-	}
+// fpPred hashes one predicate by its canonical key (precomputed at
+// construction — no rebuild).
+func fpPred(p Predicate) uint64 {
 	return fpMix(fpString(p.Key()) ^ fpSeedContent)
 }
 
-// fpAttrRef hashes one attribute reference, by AttrID when interned (bound
-// to the generation's own symbol count, as in fpPred).
-func fpAttrRef(a predicate.AttrRef, syms *symtab.Table) uint64 {
-	if syms != nil {
-		if id, ok := syms.AttrID(a.Class, a.Attr); ok && int(id) < syms.NumAttrs() {
-			return fpMix(fpSeedAttrID ^ uint64(id))
-		}
-	}
-	h := fpString(a.Class)
-	return fpMix(h ^ fpString(a.Attr))
+// fpAttrRef hashes one attribute reference. The class hash is mixed before
+// the attribute's is folded in, so x.y and y.x hash apart.
+func fpAttrRef(a predicate.AttrRef) uint64 {
+	return fpMix(fpMix(fpString(a.Class)) ^ fpString(a.Attr))
 }
 
 // fpString is 64-bit FNV-1a, inlined to keep the path allocation-free.
@@ -287,7 +182,7 @@ func fpString(s string) uint64 {
 }
 
 // fpMix is the splitmix64 finalizer: a bijective 64-bit scrambler, so
-// distinct IDs can never collide before the fold.
+// distinct item hashes can never collide before the fold.
 func fpMix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -1,6 +1,7 @@
 package sqo
 
 import (
+	"context"
 	"testing"
 
 	"sqo/internal/canon"
@@ -28,22 +29,6 @@ func TestFingerprintOrderInsensitive(t *testing.T) {
 	if Fingerprint(a) != Fingerprint(b) {
 		t.Error("content fingerprints diverge under list reordering")
 	}
-
-	// And through the engine's interned-ID hashing.
-	eng, err := NewEngine(datagen.Schema(), WithCatalog(datagen.Constraints()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := eng.state.Load()
-	if st.syms == nil {
-		t.Fatal("engine state carries no symbol space")
-	}
-	if fingerprintWith(a, st.syms) != fingerprintWith(b, st.syms) {
-		t.Error("interned fingerprints diverge under list reordering")
-	}
-	if fingerprintWith(a, st.syms) == Fingerprint(a) {
-		t.Log("note: interned and content fingerprints coincide (harmless but unexpected)")
-	}
 }
 
 // TestFingerprintSectionsDoNotBleed: moving an item between sections, or
@@ -65,19 +50,25 @@ func TestFingerprintSectionsDoNotBleed(t *testing.T) {
 	if Fingerprint(q1) == Fingerprint(q2) {
 		t.Error("class and relationship sections bleed into each other")
 	}
+	// Swapping an attribute reference's class and attribute names must
+	// change its hash: {x.y} and {y.x} are different projections.
+	p1 := NewQuery("x", "y").AddProject("x", "y")
+	p2 := NewQuery("x", "y").AddProject("y", "x")
+	if Fingerprint(p1) == Fingerprint(p2) {
+		t.Error("attribute references x.y and y.x share a fingerprint")
+	}
 }
 
 // TestFingerprintCollisionSanity sweeps the full differential workload — the
 // logistics world plus two scaled worlds, well over a thousand distinct
 // queries — and requires every distinct Signature to map to a distinct
-// fingerprint, in both content and interned-ID hashing. 128 bits make a real
-// collision astronomically unlikely; this guards against structural mistakes
-// (dropped sections, aliasing ID spaces), not hash luck.
+// fingerprint. 128 bits make a real collision astronomically unlikely; this
+// guards against structural mistakes (dropped sections, aliasing item
+// hashes), not hash luck.
 func TestFingerprintCollisionSanity(t *testing.T) {
 	type world struct {
 		label string
 		qs    []*Query
-		syms  func() *engineState
 	}
 	var worlds []world
 
@@ -91,11 +82,7 @@ func TestFingerprintCollisionSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engL, err := NewEngine(db.Schema(), WithCatalog(cat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	worlds = append(worlds, world{"logistics", logistics, engL.state.Load})
+	worlds = append(worlds, world{"logistics", logistics})
 
 	for _, n := range []int{100, 1000} {
 		sch, scat, err := GenerateScaledWorld(ScaledConfig{Constraints: n, Seed: int64(n)})
@@ -106,18 +93,12 @@ func TestFingerprintCollisionSanity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engS, err := NewEngine(sch, WithCatalog(scat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		worlds = append(worlds, world{"scaled", qs, engS.state.Load})
+		worlds = append(worlds, world{"scaled", qs})
 	}
 
 	total := 0
 	for _, w := range worlds {
-		st := w.syms()
 		content := map[QueryFingerprint]string{}
-		interned := map[QueryFingerprint]string{}
 		for _, q := range w.qs {
 			sig := q.Signature()
 			fp := Fingerprint(q)
@@ -125,11 +106,6 @@ func TestFingerprintCollisionSanity(t *testing.T) {
 				t.Fatalf("%s: content fingerprint collision:\n%s\n%s", w.label, prev, sig)
 			}
 			content[fp] = sig
-			ifp := fingerprintWith(q, st.syms)
-			if prev, ok := interned[ifp]; ok && prev != sig {
-				t.Fatalf("%s: interned fingerprint collision:\n%s\n%s", w.label, prev, sig)
-			}
-			interned[ifp] = sig
 			total++
 		}
 	}
@@ -138,34 +114,55 @@ func TestFingerprintCollisionSanity(t *testing.T) {
 	}
 }
 
-// TestCacheKeyFoldsEpoch: the epoch is part of the hashed key struct, so the
-// same query under different catalog generations can never share a cache
-// slot — the invariant that used to ride on a string prefix.
+// TestCacheKeyFoldsEpoch: cache keys are content fingerprints and carry no
+// catalog generation, so the engine fences generations instead. After
+// SwapCatalog the entry cached before the swap is not served, and a result
+// computed on the old generation that lands after the swap is refused.
 func TestCacheKeyFoldsEpoch(t *testing.T) {
 	eng, err := NewEngine(datagen.Schema(), WithCatalog(datagen.Constraints()), WithCache(CacheConfig{Capacity: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	q := NewQuery("vehicle").AddProject("vehicle", "vehicle#")
-	before := cacheKeyFor(eng.state.Load(), q)
+	old := eng.state.Load()
+	before, err := eng.Optimize(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An optimization on the old generation, still in flight across the swap.
+	late, err := old.opt.Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.SwapCatalog(datagen.Constraints()); err != nil {
 		t.Fatal(err)
 	}
-	after := cacheKeyFor(eng.state.Load(), q)
-	if before == after {
-		t.Fatal("cache keys identical across catalog generations")
+	if eng.state.Load().epoch == old.epoch {
+		t.Fatalf("epoch did not advance: %d", old.epoch)
 	}
-	if before.epoch == after.epoch {
-		t.Fatalf("epoch did not advance: %d", before.epoch)
+	eng.cache.put(Fingerprint(q), old.epoch, late)
+	if n := eng.cache.len(); n != 0 {
+		t.Fatalf("cache holds %d entries after an old-generation put, want 0", n)
+	}
+	st := eng.Stats()
+	after, err := eng.Optimize(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == before || after == late {
+		t.Fatal("a result of the old generation was served after the swap")
+	}
+	if eng.Stats().Cache.Misses != st.Cache.Misses+1 {
+		t.Fatal("the first lookup after the swap was not a miss")
 	}
 }
 
 // TestCanonFingerprintMatchesMaterialized: the streaming canonical
 // fingerprint (reduction survivors hashed in place) must equal the plain
-// fingerprint of the materialized canonical query — in both the content and
-// the interned-ID hash spaces — across a generated workload plus handcrafted
-// reduction-heavy shapes. This is the identity the cache's canonical lookup
-// path rides on.
+// fingerprint of the materialized canonical query across a generated
+// workload plus handcrafted reduction-heavy shapes. This is the identity the
+// cache's canonical lookup path rides on.
 func TestCanonFingerprintMatchesMaterialized(t *testing.T) {
 	db, err := GenerateDatabase(DB1())
 	if err != nil {
@@ -190,24 +187,11 @@ func TestCanonFingerprintMatchesMaterialized(t *testing.T) {
 			AddRelationship("drives"),
 	)
 
-	eng, err := NewEngine(db.Schema(), WithCatalog(cat))
-	if err != nil {
-		t.Fatal(err)
-	}
-	syms := eng.state.Load().syms
-	if syms == nil {
-		t.Fatal("engine state carries no symbol space")
-	}
-
 	var red canon.Reduction
 	for i, q := range qs {
 		cq, _ := canon.Canonical(q)
-		if got, want := canonFingerprintWith(q, nil, &red), fingerprintWith(cq, nil); got != want {
-			t.Fatalf("q%d: streaming content fingerprint %v != materialized %v\nquery: %s\ncanon: %s",
-				i, got, want, q, cq)
-		}
-		if got, want := canonFingerprintWith(q, syms, &red), fingerprintWith(cq, syms); got != want {
-			t.Fatalf("q%d: streaming interned fingerprint %v != materialized %v\nquery: %s\ncanon: %s",
+		if got, want := canonFingerprint(q, &red), Fingerprint(cq); got != want {
+			t.Fatalf("q%d: streaming fingerprint %v != materialized %v\nquery: %s\ncanon: %s",
 				i, got, want, q, cq)
 		}
 	}
@@ -227,14 +211,14 @@ func TestEnvelopeFingerprint(t *testing.T) {
 	s := base().
 		AddSelect(Eq("supplier", "name", StringValue("SFI"))).
 		AddSelect(Sel("cargo", "weight", OpLE, IntValue(900)))
-	if envelopeFingerprintWith(g, nil) != envelopeFingerprintWith(s, nil) {
+	if envelopeFingerprint(g) != envelopeFingerprint(s) {
 		t.Error("envelope fingerprints diverge across selective-only difference")
 	}
 	other := NewQuery("supplier", "cargo", "vehicle").
 		AddProject("cargo", "desc").
 		AddRelationship("supplies").
 		AddSelect(Eq("supplier", "name", StringValue("SFI")))
-	if envelopeFingerprintWith(g, nil) == envelopeFingerprintWith(other, nil) {
+	if envelopeFingerprint(g) == envelopeFingerprint(other) {
 		t.Error("envelope fingerprints collide across different class sets")
 	}
 }

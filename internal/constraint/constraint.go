@@ -159,6 +159,12 @@ func (c *Constraint) Classes() []string {
 	return append([]string(nil), c.classes...)
 }
 
+// NumClasses and ClassAt read the list Classes copies, without copying it.
+func (c *Constraint) NumClasses() int { return len(c.classes) }
+
+// ClassAt returns the i-th class of Classes.
+func (c *Constraint) ClassAt(i int) string { return c.classes[i] }
+
 // Key is a canonical identity: two constraints with the same antecedent set,
 // link set and consequent share a key. The closure module dedupes with it.
 func (c *Constraint) Key() string { return c.key }

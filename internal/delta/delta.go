@@ -56,11 +56,13 @@ type Op struct {
 }
 
 // Plan is a validated delta, resolved against one generation: the ordinals
-// to tombstone and the constraints to append. Logical duplicates among the
-// adds (a constraint whose canonical key the live catalog already holds)
-// have been dropped, mirroring Catalog.Add's merge semantics.
+// to tombstone (Removed holds their constraints, position for position) and
+// the constraints to append. Logical duplicates among the adds (a
+// constraint whose canonical key the live catalog already holds) have been
+// dropped, mirroring Catalog.Add's merge semantics.
 type Plan struct {
 	RemovedOrds []int32
+	Removed     []*constraint.Constraint
 	Added       []*constraint.Constraint
 }
 
@@ -139,7 +141,11 @@ func (s *State) Plan(ops []Op, sch *schema.Schema) (Plan, error) {
 			return fmt.Errorf("delta: remove %q: no such constraint", id)
 		}
 		removed[ord] = true
+		if p.Removed == nil {
+			p.Removed = make([]*constraint.Constraint, 0, len(ops))
+		}
 		p.RemovedOrds = append(p.RemovedOrds, ord)
+		p.Removed = append(p.Removed, s.all[ord])
 		return nil
 	}
 	add := func(c *constraint.Constraint) error {

@@ -78,7 +78,7 @@ func TestPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.RemovedOrds) != 1 || len(p.Added) != 1 {
+	if len(p.RemovedOrds) != 1 || len(p.Added) != 1 || len(p.Removed) != 1 || p.Removed[0].ID != "r1" {
 		t.Fatalf("replace plan = %+v", p)
 	}
 	// Removing an addition from the same delta cancels it.

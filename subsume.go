@@ -46,11 +46,10 @@ const maxGenProbe = 16
 // provable containment, derives the result, stores it under cq's own
 // canonical key (so repeats hit the primary path), and returns it. A nil
 // return means no cached generalization answers cq.
-func (e *Engine) trySubsume(st *engineState, key cacheKey, cq *Query) *Result {
+func (e *Engine) trySubsume(st *engineState, key QueryFingerprint, cq *Query) *Result {
 	start := time.Now()
-	env := cacheKey{epoch: st.epoch, fp: envelopeFingerprintWith(cq, st.syms)}
 	var buf [maxGenProbe]genCandidate
-	cands := e.cache.generalizations(env, buf[:0], maxGenProbe, len(cq.Selects))
+	cands := e.cache.generalizations(envelopeFingerprint(cq), st.epoch, buf[:0], maxGenProbe, len(cq.Selects))
 	if len(cands) == 0 {
 		return nil
 	}
@@ -71,7 +70,7 @@ func (e *Engine) trySubsume(st *engineState, key cacheKey, cq *Query) *Result {
 		// (still in the bucket) contains too, and near-duplicate traffic
 		// would otherwise bloat the envelope bucket with entries that can
 		// never win a probe.
-		e.cache.put(key, res)
+		e.cache.put(key, st.epoch, res)
 		return res
 	}
 	return nil

@@ -20,7 +20,7 @@ import (
 // generalization's table-operation count, since the derivation performs no
 // table work.) It sweeps the paper's logistics world plus scaled worlds at
 // 10² and 10³ constraints, re-verifying across incremental catalog updates so
-// re-stamped cache survivors are held to the same bar in the new epoch; well
+// cache survivors are held to the same bar in the new epoch; well
 // over a thousand cache-served comparisons in total.
 func TestSubsumeDifferential(t *testing.T) {
 	if testing.Short() {
@@ -86,7 +86,7 @@ func runSubsumeDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sq
 	for round := 0; round < 3; round++ {
 		// Rounds 1 and 2 bump the epoch through the incremental path:
 		// remove one live constraint, then add it back — cache survivors
-		// are re-stamped and must keep serving sound answers.
+		// must keep serving sound answers.
 		if round > 0 {
 			d := sqo.NewCatalogDelta()
 			if round == 1 {

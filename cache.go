@@ -19,11 +19,11 @@ import (
 // Keys carry no catalog generation; a generation fence takes its place.
 // Every entry records born, the epoch of the generation that computed it,
 // and epoch is the newest generation the cache has been reconciled with —
-// by purge (swap, compaction) or update (delta), each run before the engine
-// publishes that generation. A put computed on an older generation is
-// refused, and a reader treats an entry born after its own generation as
-// absent. An entry an update lets stand therefore keeps serving as it is:
-// nothing is re-keyed.
+// by purge (a rebuilt generation) or update (a patched one), each run
+// before the engine publishes that generation. A put computed on an older
+// generation is refused, and a reader treats an entry born after its own
+// generation as absent. An entry an update lets stand therefore keeps
+// serving as it is: nothing is re-keyed.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -295,9 +295,10 @@ func (c *resultCache) purge(epoch uint64) int {
 	return n
 }
 
-// update is the surgical companion of purge, for incremental catalog
-// updates: it reconciles the cache with generation epoch, removing every
-// entry for which drop returns true among the entries the delta can reach.
+// update is the surgical companion of purge, for patched generations (an
+// update's or a swap's delta): it reconciles the cache with generation
+// epoch, removing every entry for which drop returns true among the entries
+// the delta can reach.
 // touched hold the delta's removed and added constraints. A constraint is
 // relevant only to queries that hold every one of its classes, and a
 // result's dependency set is a subset of its relevant set, so each entry

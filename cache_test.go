@@ -324,18 +324,24 @@ func TestCacheStatsConsistency(t *testing.T) {
 
 // TestEngineEpochBumpUnderTraffic: the engine-level version of the epoch
 // test — SwapCatalog bumps the epoch while Optimize traffic is in flight,
-// and the serving counters stay coherent throughout.
+// and the serving counters stay coherent throughout. The swaps alternate
+// between the catalog and the catalog plus one rule, so each one changes
+// the catalog (a swap to the catalog already served publishes nothing).
 func TestEngineEpochBumpUnderTraffic(t *testing.T) {
 	sch := NewSchemaBuilder().
 		Class("vehicle", Attribute{Name: "desc", Type: KindString}).
 		Class("cargo", Attribute{Name: "desc", Type: KindString, Indexed: true}).
 		Relationship("collects", "vehicle", "cargo", OneToMany).
 		MustBuild()
-	cat := MustCatalog(
-		NewConstraint("c1",
-			[]Predicate{Eq("vehicle", "desc", StringValue("refrigerated truck"))},
-			[]string{"collects"},
-			Eq("cargo", "desc", StringValue("frozen food"))))
+	c1 := NewConstraint("c1",
+		[]Predicate{Eq("vehicle", "desc", StringValue("refrigerated truck"))},
+		[]string{"collects"},
+		Eq("cargo", "desc", StringValue("frozen food")))
+	cat := MustCatalog(c1)
+	plus := MustCatalog(c1, NewConstraint("c2",
+		[]Predicate{Eq("vehicle", "desc", StringValue("van"))},
+		[]string{"collects"},
+		Eq("cargo", "desc", StringValue("parcels"))))
 	eng, err := NewEngine(sch, WithCatalog(cat), WithCache(CacheConfig{Capacity: 16}))
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +365,11 @@ func TestEngineEpochBumpUnderTraffic(t *testing.T) {
 		}()
 	}
 	for s := 0; s < 5; s++ {
-		if err := eng.SwapCatalog(cat); err != nil {
+		next := plus
+		if s%2 == 1 {
+			next = cat
+		}
+		if err := eng.SwapCatalog(next); err != nil {
 			t.Fatal(err)
 		}
 	}

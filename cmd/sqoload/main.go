@@ -787,9 +787,11 @@ func fetchTraces(client *http.Client, base string, samples []sample) *traceRepor
 	return rep
 }
 
-// sendSwap re-renders the logistics constraint catalog and swaps it in: a
-// content-level no-op, but a real epoch bump that purges the result cache —
-// exactly the invalidation a production catalog update causes.
+// sendSwap re-renders the logistics constraint catalog and swaps it in. The
+// text format drops Doc, so against the documented catalog sqod boots with
+// the swap replaces its 17 documented rules: one epoch bump and a sweep of
+// the entries those rules reach. A swap whose catalog the engine already
+// serves, field for field, publishes nothing and keeps the epoch.
 func sendSwap(client *http.Client, rng *rand.Rand, base string) sample {
 	var lines []string
 	for _, c := range sqo.LogisticsConstraints().All() {

@@ -8,8 +8,7 @@ import (
 // constraint catalog: constraints to add, remove (by ID) or replace. Build
 // one with NewCatalogDelta (the builder methods chain) and apply it with
 // Engine.UpdateCatalog, which patches the current catalog generation in
-// work proportional to the delta instead of rebuilding it from scratch the
-// way SwapCatalog does.
+// work proportional to the delta instead of rebuilding it from scratch.
 //
 // Ops apply in the order they were recorded. The resulting catalog order is
 // the surviving constraints in their previous order followed by the
@@ -61,6 +60,12 @@ func (d *CatalogDelta) Empty() bool { return d == nil || len(d.ops) == 0 }
 // update: re-derive state rules from the mutated database, diff against the
 // engine's current catalog, and apply only what actually changed (see
 // examples/mutation).
+//
+// The delta is key-based: a constraint whose key both catalogs hold keeps
+// its ID, Doc and place from from, and additions go last, so the result
+// serves to's rules but not necessarily to's IDs or order. To serve exactly
+// a catalog — its IDs, docs and order — use Engine.SwapCatalog, which
+// applies its own exact delta.
 func DiffCatalogs(from, to *Catalog) *CatalogDelta {
 	d := NewCatalogDelta()
 	toKeys := make(map[string]bool, to.Len())

@@ -15,11 +15,15 @@ import (
 // sequence of UpdateCatalog deltas (adds, removes, replaces, re-adds of
 // previously removed rules) must be byte-identical — optimizer output,
 // per-query stats, and index shape — to a from-scratch engine built over the
-// final catalog. It sweeps the paper's logistics world plus scaled worlds at
-// 10² and 10³ constraints, re-verifying the full workload after every delta
+// final catalog. SwapCatalog rounds follow (a suffix removed, rules
+// appended, two rules swapped in order, one rule under a new ID, one Doc
+// changed): after each, the engine's catalog must equal the target field
+// for field and in order, and every query must optimize as a cold build of
+// the target does. It sweeps the paper's logistics world plus scaled worlds
+// at 10² and 10³ constraints, re-verifying the full workload after every
 // round; well over a thousand query comparisons per world set. The mutated
-// engine's semantic cache holds the whole workload, so every entry an
-// update's sweep lets stand is compared with the reference in the next
+// engine's semantic cache holds the whole workload, so every entry a
+// mutation's sweep lets stand is compared with the reference in the next
 // round.
 func TestDeltaDifferential(t *testing.T) {
 	if testing.Short() {
@@ -155,7 +159,99 @@ func runDeltaDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sqo.
 			checked++
 		}
 	}
+	return checked + runSwapRounds(t, label, sch, eng, pool, qs, canonical, rng)
+}
+
+// runSwapRounds swaps the engine to five targets derived from its current
+// catalog and, after each swap, checks the catalog against the target field
+// for field and every query against a cold build of the target. Returns
+// the number of per-query comparisons performed.
+func runSwapRounds(t *testing.T, label string, sch *sqo.Schema, eng *sqo.Engine, pool []*sqo.Constraint, qs, canonical []*sqo.Query, rng *rand.Rand) int {
+	t.Helper()
+	// nearEnd picks a position among the last few of cs, where a swap
+	// changes little enough to be patched.
+	nearEnd := func(cs []*sqo.Constraint) int { return len(cs) - 1 - rng.Intn(min(len(cs), 6)) }
+	// renamed copies c with a new ID or Doc.
+	renamed := func(c *sqo.Constraint, id, doc string) *sqo.Constraint {
+		n := sqo.NewConstraint(id, c.Antecedents, c.Links, c.Consequent).WithDoc(doc)
+		n.StateDependent = c.StateDependent
+		return n
+	}
+	targets := []struct {
+		name string
+		make func(cs []*sqo.Constraint) []*sqo.Constraint
+	}{
+		{"suffix removed", func(cs []*sqo.Constraint) []*sqo.Constraint {
+			return cs[:len(cs)-min(len(cs)-1, 1+rng.Intn(3))]
+		}},
+		{"rules appended", func(cs []*sqo.Constraint) []*sqo.Constraint {
+			n := min(len(pool), 3)
+			cs, pool = append(cs, pool[:n]...), pool[n:]
+			return cs
+		}},
+		{"two rules swapped", func(cs []*sqo.Constraint) []*sqo.Constraint {
+			i, j := nearEnd(cs), len(cs)-1
+			if i == j {
+				i = max(0, j-1)
+			}
+			cs[i], cs[j] = cs[j], cs[i]
+			return cs
+		}},
+		{"rule under a new ID", func(cs []*sqo.Constraint) []*sqo.Constraint {
+			i := nearEnd(cs)
+			cs[i] = renamed(cs[i], cs[i].ID+"-renamed", cs[i].Doc)
+			return cs
+		}},
+		{"Doc changed", func(cs []*sqo.Constraint) []*sqo.Constraint {
+			i := nearEnd(cs)
+			cs[i] = renamed(cs[i], cs[i].ID, cs[i].Doc+" (revised)")
+			return cs
+		}},
+	}
+	checked := 0
+	for _, tg := range targets {
+		round := fmt.Sprintf("%s swap %q", label, tg.name)
+		target, err := sqo.NewCatalog(tg.make(eng.Catalog().All())...)
+		if err != nil {
+			t.Fatalf("%s: %v", round, err)
+		}
+		if err := eng.SwapCatalog(target); err != nil {
+			t.Fatalf("%s: %v", round, err)
+		}
+		got, want := eng.Catalog().All(), target.All()
+		if len(got) != len(want) {
+			t.Fatalf("%s: catalog holds %d constraints, target %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if !sameFields(got[i], want[i]) {
+				t.Fatalf("%s: constraint %d is %v (doc %q), target %v (doc %q)", round, i, got[i], got[i].Doc, want[i], want[i].Doc)
+			}
+		}
+		ref, err := sqo.NewEngine(sch, sqo.WithCatalog(target))
+		if err != nil {
+			t.Fatalf("%s: reference engine: %v", round, err)
+		}
+		for i, q := range qs {
+			diffDeltaAs(t, round, eng, q, ref, canonical[i])
+			checked++
+		}
+	}
 	return checked
+}
+
+// sameFields reports whether a and b agree in every exported field,
+// predicates compared by key.
+func sameFields(a, b *sqo.Constraint) bool {
+	keys := func(ps []sqo.Predicate) []string {
+		out := make([]string, len(ps))
+		for i, p := range ps {
+			out[i] = p.Key()
+		}
+		return out
+	}
+	return a.ID == b.ID && a.Doc == b.Doc && a.StateDependent == b.StateDependent &&
+		reflect.DeepEqual(keys(a.Antecedents), keys(b.Antecedents)) &&
+		reflect.DeepEqual(a.Links, b.Links) && a.Consequent.Key() == b.Consequent.Key()
 }
 
 // diffDelta optimizes one query through the delta-built and the from-scratch
@@ -184,6 +280,9 @@ func diffDeltaAs(t *testing.T, label string, mutated *sqo.Engine, q *sqo.Query, 
 	}
 	if a.EmptyResult != b.EmptyResult {
 		t.Fatalf("%s: EmptyResult diverges for %s", label, q)
+	}
+	if !reflect.DeepEqual(a.Trace, b.Trace) {
+		t.Fatalf("%s: traces diverge for %s\npatched: %v\nscratch: %v", label, q, a.Trace, b.Trace)
 	}
 	if a.Stats.Fires != b.Stats.Fires || a.Stats.RelevantConstraints != b.Stats.RelevantConstraints {
 		t.Fatalf("%s: stats diverge for %s: fires %d/%d relevant %d/%d",

@@ -38,10 +38,13 @@ import (
 //     subsumption lookup that answers a contained query from a cached
 //     generalization plus a residual pass — so a near-duplicate workload
 //     pays the O(m·n) table work once per distinct canonical query.
-//   - Hot catalog swap: SwapCatalog atomically replaces the declared
-//     constraint set — rebuilding the symbol space and index off to the side
-//     and flipping an atomic pointer — without blocking in-flight
-//     optimizations.
+//   - Catalog mutation: SwapCatalog (serve exactly this catalog) and
+//     UpdateCatalog (apply these ops) go through one path. Each plans a
+//     delta against the live generation, derives the next generation off to
+//     the side — patched by structural sharing, or rebuilt from scratch when
+//     the delta churns most of the catalog — and publishes it with one
+//     atomic pointer store, without blocking in-flight optimizations. The
+//     cache keeps every entry the delta cannot affect.
 //
 // On a cache hit the same *Result is returned to every caller; treat results
 // as read-only. All accessor methods on Result are safe to share.
@@ -79,10 +82,10 @@ type Engine struct {
 
 	swapMu sync.Mutex // serializes SwapCatalog/UpdateCatalog (readers never take it)
 
-	// Mutation-side lineage state of the incremental update path, guarded
-	// by swapMu: the append-only ordinal space bookkeeping and the index's
-	// re-homing frequencies. nil until the first UpdateCatalog after a
-	// construction or full swap.
+	// Mutation-side lineage state of the patch path, guarded by swapMu: the
+	// append-only ordinal space bookkeeping and the index's re-homing
+	// frequencies. nil until the first patch after a construction or a
+	// rebuild.
 	mut    *delta.State
 	idxLin *index.Lineage
 
@@ -102,20 +105,20 @@ type Engine struct {
 }
 
 // engineState is everything derived from one catalog generation. It is
-// immutable after construction and replaced wholesale by SwapCatalog (full
-// rebuild) or UpdateCatalog (structural patch), so a query can never observe
+// immutable after construction and replaced wholesale by each catalog
+// mutation (a structural patch or a rebuild), so a query can never observe
 // the catalog of one generation paired with the index or symbol space of
 // another.
 type engineState struct {
-	declared *Catalog         // as supplied; nil for a delta-built or restored generation
-	index    *ConstraintIndex // inverted retrieval index over the generation
-	syms     *symtab.Table    // interned symbol space of the generation
-	opt      *core.Optimizer
-	epoch    uint64
+	index *ConstraintIndex // inverted retrieval index over the generation
+	syms  *symtab.Table    // interned symbol space of the generation
+	opt   *core.Optimizer
+	epoch uint64
 
-	// gen is the catalog view of a delta-built or snapshot-restored
-	// generation (declared is nil then). The *Catalog form is materialized
-	// lazily, only when someone asks.
+	// gen is the generation's catalog view: its ordinal space and
+	// tombstones, whether it was compiled, restored or patched. The
+	// *Catalog form is materialized lazily, only when someone asks; a
+	// compiled generation starts with the catalog it was compiled from.
 	gen     *delta.Gen
 	catOnce sync.Once
 	lazyCat *Catalog
@@ -133,12 +136,7 @@ type engineState struct {
 // building it on first use.
 func (st *engineState) mentionSet() map[predicate.AttrRef]struct{} {
 	st.mentionOnce.Do(func() {
-		var all []*Constraint
-		if st.gen != nil {
-			all = st.gen.Constraints()
-		} else {
-			all = st.declared.All()
-		}
+		all := st.gen.Constraints()
 		m := make(map[predicate.AttrRef]struct{}, len(all)*2)
 		note := func(p predicate.Predicate) {
 			m[p.Left] = struct{}{}
@@ -158,11 +156,8 @@ func (st *engineState) mentionSet() map[predicate.AttrRef]struct{} {
 }
 
 // catalogView returns the generation's declared catalog, materializing it
-// on first use for delta-built generations.
+// on first use.
 func (st *engineState) catalogView() *Catalog {
-	if st.gen == nil {
-		return st.declared
-	}
 	st.catOnce.Do(func() {
 		cat, err := constraint.NewCatalog(st.gen.Constraints()...)
 		if err != nil {
@@ -175,14 +170,6 @@ func (st *engineState) catalogView() *Catalog {
 		st.lazyCat = cat
 	})
 	return st.lazyCat
-}
-
-// constraintCount returns the number of live constraints of the generation.
-func (st *engineState) constraintCount() int {
-	if st.gen != nil {
-		return st.gen.Live()
-	}
-	return st.declared.Len()
 }
 
 // NewEngine builds an engine over the schema. Exactly one of WithCatalog and
@@ -237,20 +224,21 @@ func NewEngine(s *Schema, opts ...EngineOption) (*Engine, error) {
 			e.runner = exec.New(cfg.db)
 		}
 	}
+	var st *engineState
 	if cfg.snap != nil {
 		// Warm restore: adopt the snapshot's compiled generation instead of
 		// building one.
 		if h := schemaHash(s); h != cfg.snap.info.SchemaHash {
 			return nil, fmt.Errorf("sqo: snapshot was compiled against schema %#016x, engine schema is %#016x", cfg.snap.info.SchemaHash, h)
 		}
-		e.state.Store(e.restoreState(cfg.snap.model, 0))
-		return e, nil
-	}
-	st, err := e.buildState(cfg.catalog, 0)
-	if err != nil {
+		st = e.restoreState(cfg.snap.model, 0)
+	} else if st, err = e.buildState(cfg.catalog, 0); err != nil {
 		return nil, err
 	}
 	e.state.Store(st)
+	// Only construction reads these; holding them would pin the first
+	// generation (a restored snapshot holds a whole index and symbol table).
+	e.cfg.catalog, e.cfg.snap = nil, nil
 	return e, nil
 }
 
@@ -269,23 +257,27 @@ func (e *Engine) effectiveCoreOpts() Options {
 	return opts
 }
 
-// buildState materializes one catalog generation: validate, compile the
-// interned symbol space, build the inverted index over it, and construct the
-// optimizer. The symbol space is compiled exactly once per generation and
-// shared by the index and the optimizer's transformation tables.
+// buildState compiles one catalog generation from scratch: validate, compile
+// the interned symbol space, build the inverted index over it, and construct
+// the optimizer. The symbol space is compiled exactly once per generation and
+// shared by the index and the optimizer's transformation tables. The
+// generation's ordinal space is dense, and its catalog view is cat itself.
 func (e *Engine) buildState(cat *Catalog, epoch uint64) (*engineState, error) {
 	if err := cat.Validate(e.schema); err != nil {
 		return nil, fmt.Errorf("sqo: catalog does not fit the schema: %w", err)
 	}
-	syms := symtab.Compile(e.schema, cat.All())
-	ix := index.BuildWith(cat.All(), syms)
-	return &engineState{
-		declared: cat,
-		index:    ix,
-		syms:     syms,
-		opt:      core.NewOptimizerSymbols(e.schema, ix, syms, e.effectiveCoreOpts()),
-		epoch:    epoch,
-	}, nil
+	all := cat.All()
+	syms := symtab.Compile(e.schema, all)
+	ix := index.BuildWith(all, syms)
+	st := &engineState{
+		index: ix,
+		syms:  syms,
+		gen:   delta.NewGen(constraint.OrdinalsOf(all), nil),
+		opt:   core.NewOptimizerSymbols(e.schema, ix, syms, e.effectiveCoreOpts()),
+		epoch: epoch,
+	}
+	st.catOnce.Do(func() { st.lazyCat = cat })
+	return st, nil
 }
 
 // Optimize runs the semantic optimization of q against the current catalog
@@ -405,54 +397,42 @@ var reductionPool = sync.Pool{New: func() any { return new(canon.Reduction) }}
 // with qs. The first failing query cancels the rest; on any error the
 // partial results are discarded and only the error is returned.
 func (e *Engine) OptimizeBatch(ctx context.Context, qs []*Query) ([]*Result, error) {
+	return fanOut(ctx, e.cfg.workers, qs, e.Optimize)
+}
+
+// fanOut runs do over every query of qs on at most workers goroutines and
+// returns the results positionally aligned with qs. The first failure
+// cancels the rest and is returned as "query i: err"; a parent context
+// cancelled before every query ran is reported as its error. On any error
+// the partial results are discarded. An empty qs returns nil.
+func fanOut[T any](ctx context.Context, workers int, qs []*Query, do func(context.Context, *Query) (T, error)) ([]T, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	workers := min(e.cfg.workers, len(qs))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	results := make([]*Result, len(qs))
-	jobs := make(chan int)
+	results := make([]T, len(qs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
+	var failOnce sync.Once
 	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		errMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(qs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				res, err := e.Optimize(ctx, qs[i])
+			for i := int(next.Add(1) - 1); i < len(qs) && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+				res, err := do(ctx, qs[i])
 				if err != nil {
-					fail(fmt.Errorf("query %d: %w", i, err))
+					failOnce.Do(func() { firstErr = fmt.Errorf("query %d: %w", i, err); cancel() })
 					return
 				}
 				results[i] = res
 			}
 		}()
 	}
-feed:
-	for i := range qs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	if firstErr == nil {
-		// No worker failed, yet the feed may have been cut short by the
-		// parent context.
-		firstErr = ctx.Err()
+		firstErr = ctx.Err() // no worker failed, but the parent may have cut the run short
 	}
 	if firstErr != nil {
 		return nil, firstErr
@@ -460,13 +440,18 @@ feed:
 	return results, nil
 }
 
-// SwapCatalog atomically replaces the engine's declared constraint catalog:
-// the symbol space and constraint index are rebuilt off to the side, then
-// published with a single pointer store. In-flight optimizations finish
-// against the old generation; the result cache is purged before the new
-// generation is published, and from then on refuses results computed on
-// the old one, so no stale optimization is ever served. On error the
-// engine keeps serving the old catalog.
+// SwapCatalog atomically replaces the engine's declared constraint catalog
+// with cat. The longest prefix of cat that the live generation holds in the
+// same order survives, every other live constraint is removed and the rest
+// of cat appended (delta.Gen.Swap), so the engine then serves exactly cat,
+// in cat's order, as NewEngine(WithCatalog(cat)) would. That delta takes
+// UpdateCatalog's path: patched, keeping every cached result it cannot
+// affect, or — when it churns most of the catalog — rebuilt from cat with
+// the cache purged. A swap to the catalog already served publishes nothing.
+// In-flight optimizations finish against the old generation and the cache
+// refuses their results. On error (a constraint that does not fit the
+// schema) the engine keeps serving the old generation, epoch and cache
+// untouched.
 //
 // This is the knob for derived state rules (DeriveRules): merge them in when
 // mined, swap the declared set back in when the data shifts.
@@ -476,43 +461,43 @@ func (e *Engine) SwapCatalog(cat *Catalog) error {
 	}
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
-	st, err := e.buildState(cat, e.state.Load().epoch+1)
+	cur := e.state.Load()
+	all := cat.All()
+	ops, kept := cur.gen.Swap(all)
+	added := len(all) - kept
+	var err error
+	switch {
+	case len(ops) == 0:
+		// The generation already serves exactly cat.
+	case rebuilds(cur.gen.Dead(), len(ops)-added, added, kept):
+		// Decided before a lineage is seeded or an op planned: compile cat.
+		_, err = e.rebuild(cur, cat)
+	default:
+		_, err = e.apply(cur, ops)
+	}
 	if err != nil {
 		return err
 	}
-	// Purge before publishing: a reader on the new generation must never
-	// meet an entry of the old one, and the purge's fence refuses the old
-	// generation's in-flight puts.
-	if e.cache != nil {
-		e.cache.purge(st.epoch)
-	}
-	e.state.Store(st)
-	e.mut, e.idxLin = nil, nil // a full rebuild starts a fresh ordinal lineage
 	e.swaps.Add(1)
 	return nil
 }
 
 // UpdateCatalog applies an incremental delta to the engine's declared
-// constraint catalog — the O(|delta|) alternative to SwapCatalog's full
-// rebuild. The current generation's interned symbol space and inverted index
-// are patched by structural sharing (untouched IDs, posting lists and
-// adjacency rows are shared with the prior generation; removed constraints
-// leave tombstoned ordinals), and the result cache is invalidated
-// surgically: only entries whose recorded dependency set intersects the
-// delta — they consulted a removed constraint, or an added constraint is
-// relevant to their query — are dropped, while every other entry keeps
-// serving as it is. The sweep reaches its candidates through the cache's
-// class postings, so it costs the entries the delta's classes reach, not
-// the size of the cache.
+// constraint catalog, in work proportional to the delta. The generation's
+// symbol space and index are patched by structural sharing (removed
+// constraints leave tombstoned ordinals), and the result cache drops only
+// the entries whose recorded dependency set intersects the delta — they
+// consulted a removed constraint, or an added constraint is relevant to
+// their query — found through the cache's class postings; every other entry
+// keeps serving as it is. Once tombstones would outnumber live constraints,
+// or the delta replaces at least as many constraints as it leaves alone,
+// the generation is rebuilt instead (the report says so) and the whole
+// cache purged.
 //
 // In-flight optimizations finish against the old generation, exactly as
 // with SwapCatalog. On error (unknown removal ID, invalid constraint,
 // duplicate ID) the engine keeps serving the old generation with epoch and
 // cache untouched.
-//
-// Once tombstones outnumber live constraints, the delta is folded into a
-// full rebuild instead (tombstone compaction; the report says so), with
-// SwapCatalog's full cache purge.
 func (e *Engine) UpdateCatalog(d *CatalogDelta) (UpdateReport, error) {
 	e.swapMu.Lock()
 	defer e.swapMu.Unlock()
@@ -520,49 +505,65 @@ func (e *Engine) UpdateCatalog(d *CatalogDelta) (UpdateReport, error) {
 	if d.Empty() {
 		return UpdateReport{Epoch: cur.epoch, Incremental: true}, nil
 	}
+	rep, err := e.apply(cur, d.ops)
+	if err == nil && rep.Epoch != cur.epoch {
+		e.updates.Add(1)
+	}
+	return rep, err
+}
+
+// rebuilds is the one patch-or-rebuild rule of catalog mutation. A plan
+// removing removed and adding added constraints, leaving survivors alone,
+// on a lineage holding dead tombstones, is compiled from scratch when, past
+// a small floor, its tombstones would outnumber the live catalog (a patch
+// would carry more garbage than catalog) or it replaces at least as much
+// as it keeps (a patch would copy more than it shares).
+func rebuilds(dead, removed, added, survivors int) bool {
+	garbage, churn := dead+removed, removed+added
+	return garbage > 64 && garbage > survivors+added || churn > 64 && churn >= survivors
+}
+
+// apply plans ops against the live generation cur and publishes the next
+// generation, patched or rebuilt as rebuilds decides; the caller holds
+// swapMu. A plan that changes nothing publishes nothing and reports cur's
+// epoch.
+func (e *Engine) apply(cur *engineState, ops []delta.Op) (UpdateReport, error) {
 	if e.mut == nil {
-		// First delta of this lineage: seed the mutation-side state from
-		// the generation's catalog order (the ordinal space the symbol
-		// table and index were compiled over). A snapshot-restored engine
-		// has no declared catalog — its ordinal space comes from the
-		// restored generation, tombstones included.
-		if cur.gen != nil {
-			e.mut = delta.NewStateFromGen(cur.gen)
-		} else {
-			e.mut = delta.NewState(cur.declared.All())
-		}
+		// First delta on this lineage: seed the mutation-side state from the
+		// generation's ordinal space, tombstones included.
+		e.mut = delta.NewStateFromGen(cur.gen)
 		e.idxLin = index.NewLineage(cur.index)
 	}
-	plan, err := e.mut.Plan(d.ops, e.schema)
+	plan, err := e.mut.Plan(ops, e.schema)
 	if err != nil {
 		return UpdateReport{}, err
 	}
+	rep := UpdateReport{Added: len(plan.Added), Removed: len(plan.RemovedOrds), Epoch: cur.epoch, Incremental: true}
 	if plan.Empty() {
-		return UpdateReport{Epoch: cur.epoch, Incremental: true}, nil // on the incremental path by construction
+		return rep, nil
 	}
-	// Compaction: once tombstones outnumber live constraints the lineage
-	// carries more garbage than catalog; fold the delta into a full
-	// rebuild, which restarts the ordinal space dense.
-	if dead := e.mut.Dead() + len(plan.RemovedOrds); dead > 64 && dead > e.mut.Live()-len(plan.RemovedOrds)+len(plan.Added) {
-		return e.rebuildWith(cur, d)
+	rep.Epoch++
+	if rebuilds(e.mut.Dead(), len(plan.RemovedOrds), len(plan.Added), e.mut.Live()-len(plan.RemovedOrds)) {
+		cat, _, err := delta.Rebuild(cur.catalogView(), ops, e.schema)
+		if err != nil {
+			return UpdateReport{}, err
+		}
+		rep.Incremental = false
+		if rep.CachePurged, err = e.rebuild(cur, cat); err != nil {
+			return UpdateReport{}, err
+		}
+		return rep, nil
 	}
 
 	newSyms, addedOrds := cur.syms.Patch(plan.Added)
 	newIndex := cur.index.Patch(e.idxLin, newSyms, plan.RemovedOrds, plan.Added, addedOrds)
 	e.mut.Commit(plan, addedOrds)
-
 	st := &engineState{
 		index: newIndex,
 		syms:  newSyms,
 		gen:   e.mut.Snapshot(),
 		opt:   core.NewOptimizerSymbols(e.schema, newIndex, newSyms, e.effectiveCoreOpts()),
-		epoch: cur.epoch + 1,
-	}
-	rep := UpdateReport{
-		Added:       len(plan.Added),
-		Removed:     len(plan.RemovedOrds),
-		Epoch:       st.epoch,
-		Incremental: true,
+		epoch: rep.Epoch,
 	}
 	// Sweep before publishing: no reader can hold the new generation yet,
 	// and once the sweep returns the cache refuses results computed on
@@ -574,37 +575,29 @@ func (e *Engine) UpdateCatalog(d *CatalogDelta) (UpdateReport, error) {
 		e.cacheSurvived.Add(int64(rep.CacheSurvived))
 	}
 	e.state.Store(st)
-	e.updates.Add(1)
 	return rep, nil
 }
 
-// rebuildWith is UpdateCatalog's tombstone compaction: apply the delta to
-// the declared catalog and rebuild the whole generation with a dense ordinal
-// space and a full cache purge — the exact SwapCatalog semantics, driven by
-// delta ops.
-func (e *Engine) rebuildWith(cur *engineState, d *CatalogDelta) (UpdateReport, error) {
-	newCat, plan, err := delta.Rebuild(cur.catalogView(), d.ops, e.schema)
+// rebuild compiles cat from scratch as the generation after cur and
+// publishes it, purging the whole cache first; the new generation starts a
+// dense lineage. It returns how many cache entries the purge dropped. On
+// error (cat does not fit the schema) nothing has changed.
+func (e *Engine) rebuild(cur *engineState, cat *Catalog) (int, error) {
+	st, err := e.buildState(cat, cur.epoch+1)
 	if err != nil {
-		return UpdateReport{}, err
+		return 0, err
 	}
-	st, err := e.buildState(newCat, cur.epoch+1)
-	if err != nil {
-		return UpdateReport{}, err
-	}
-	rep := UpdateReport{
-		Added:   len(plan.Added),
-		Removed: len(plan.RemovedOrds),
-		Epoch:   st.epoch,
-	}
-	// Purge before publishing, as SwapCatalog does.
+	// Purge before publishing: a reader on the new generation must never
+	// meet an entry of the old one, and the purge's fence refuses the old
+	// generation's in-flight puts.
+	purged := 0
 	if e.cache != nil {
-		rep.CachePurged = e.cache.purge(st.epoch)
-		e.cachePurged.Add(int64(rep.CachePurged))
+		purged = e.cache.purge(st.epoch)
+		e.cachePurged.Add(int64(purged))
 	}
 	e.state.Store(st)
 	e.mut, e.idxLin = nil, nil
-	e.updates.Add(1)
-	return rep, nil
+	return purged, nil
 }
 
 // purgeCheck builds the surgical invalidation predicate of one delta: drop
@@ -651,12 +644,13 @@ type UpdateReport struct {
 	// Epoch is the catalog generation now serving.
 	Epoch uint64
 	// Incremental is true when the generation was patched in place-by-copy;
-	// false when tombstone compaction folded the delta into a full rebuild.
+	// false when the patch-or-rebuild rule folded the delta into a full
+	// rebuild.
 	Incremental bool
 	// CachePurged counts the result-cache entries the delta dropped;
 	// CacheSurvived counts the entries left cached after the update, which
 	// keep serving under the new generation. Both zero when caching is
-	// disabled; a compaction rebuild purges every entry.
+	// disabled; a rebuild purges every entry.
 	CachePurged, CacheSurvived int
 }
 
@@ -667,9 +661,10 @@ func (e *Engine) Schema() *Schema { return e.schema }
 // or GOMAXPROCS at construction when unset.
 func (e *Engine) Workers() int { return e.cfg.workers }
 
-// Catalog returns the currently declared catalog. For a delta-built or
+// Catalog returns the currently declared catalog. For a patched or
 // snapshot-restored generation the catalog object is materialized on first
-// call, in the generation's live order.
+// call, in the generation's live order; a rebuilt generation returns the
+// catalog it was compiled from.
 func (e *Engine) Catalog() *Catalog { return e.state.Load().catalogView() }
 
 // CacheStats is the result cache's stats surface: the three-way hit
@@ -699,7 +694,8 @@ type CacheStats struct {
 	Size     int
 	Capacity int
 	// UpdatePurged and UpdateSurvived are cumulative counts of entries
-	// dropped by incremental catalog updates versus left cached by them.
+	// dropped by catalog mutations (UpdateCatalog and SwapCatalog; a
+	// rebuild drops every entry) versus left cached by their sweeps.
 	UpdatePurged   int64
 	UpdateSurvived int64
 	// Canonicalize and Subsume echo the active cache configuration
@@ -759,7 +755,7 @@ func (e *Engine) Stats() EngineStats {
 		CatalogSwaps:      e.swaps.Load(),
 		CatalogUpdates:    e.updates.Load(),
 		Epoch:             st.epoch,
-		Constraints:       st.constraintCount(),
+		Constraints:       st.gen.Live(),
 		Executions:        e.executions.Load(),
 		ExecTuplesScanned: e.execTuples.Load(),
 		ExecPagesScanned:  e.execPages.Load(),

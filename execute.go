@@ -3,8 +3,6 @@ package sqo
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 )
 
 // This file is the engine's end-to-end execution surface (WithDatabase):
@@ -77,57 +75,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, qs []*Query) ([]*Execution, e
 	if e.runner == nil {
 		return nil, errNoDatabase
 	}
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	workers := min(e.cfg.workers, len(qs))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]*Execution, len(qs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		errMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out, err := e.Execute(ctx, qs[i])
-				if err != nil {
-					fail(fmt.Errorf("query %d: %w", i, err))
-					return
-				}
-				results[i] = out
-			}
-		}()
-	}
-feed:
-	for i := range qs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
+	return fanOut(ctx, e.cfg.workers, qs, e.Execute)
 }
 
 // recordExecution folds one execution's meter into the engine's cumulative

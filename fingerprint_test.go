@@ -116,8 +116,9 @@ func TestFingerprintCollisionSanity(t *testing.T) {
 
 // TestCacheKeyFoldsEpoch: cache keys are content fingerprints and carry no
 // catalog generation, so the engine fences generations instead. After
-// SwapCatalog the entry cached before the swap is not served, and a result
-// computed on the old generation that lands after the swap is refused.
+// SwapCatalog to a catalog with one more rule relevant to the query, the
+// entry cached before the swap is not served, and a result computed on the
+// old generation that lands after the swap is refused.
 func TestCacheKeyFoldsEpoch(t *testing.T) {
 	eng, err := NewEngine(datagen.Schema(), WithCatalog(datagen.Constraints()), WithCache(CacheConfig{Capacity: 8}))
 	if err != nil {
@@ -135,7 +136,14 @@ func TestCacheKeyFoldsEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SwapCatalog(datagen.Constraints()); err != nil {
+	plus := datagen.Constraints()
+	if err := plus.Add(NewConstraint("fold",
+		[]Predicate{Eq("vehicle", "desc", StringValue("scooter"))},
+		nil,
+		Sel("vehicle", "capacity", OpLE, IntValue(40)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SwapCatalog(plus); err != nil {
 		t.Fatal(err)
 	}
 	if eng.state.Load().epoch == old.epoch {

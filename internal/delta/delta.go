@@ -5,16 +5,17 @@
 // dependency sets — survive a mutation untouched except where the delta
 // actually lands.
 //
-// The paper's optimizer assumes a fixed integrity-constraint catalog; the
-// serving engine's original mutation primitive, a full catalog swap, prices
-// every change at O(|catalog|): recompile the symbol space, rebuild the
-// index, discard the whole result cache. Under live traffic with evolving
-// constraint stores (Chomicki's preference-query setting, Siegel-style state
-// rules re-derived as the data shifts) that is the wrong cost model — a
-// one-rule change should cost O(|delta|).
+// The paper's optimizer assumes a fixed integrity-constraint catalog. A
+// serving engine that recompiled the symbol space, rebuilt the index and
+// discarded the whole result cache on every change would price a one-rule
+// change at O(|catalog|); under live traffic with evolving constraint stores
+// (Chomicki's preference-query setting, Siegel-style state rules re-derived
+// as the data shifts) a change should cost O(|delta|). Both of the engine's
+// mutations are deltas here: an update states its ops, and a swap to a
+// whole catalog is planned as the exact delta Gen.Swap finds.
 //
 // The enabling invariant is ordinal stability: within one mutation lineage
-// (started by an engine construction or full swap, advanced by deltas), a
+// (started by an engine construction or a rebuild, advanced by deltas), a
 // constraint keeps its catalog ordinal forever. Removals tombstone ordinals
 // instead of compacting them; additions append fresh ordinals. Catalog
 // order — which the optimizer's output provably depends on only through the
@@ -29,8 +30,10 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 
 	"sqo/internal/constraint"
+	"sqo/internal/predicate"
 	"sqo/internal/schema"
 )
 
@@ -229,9 +232,9 @@ func (s *State) Commit(p Plan, addedOrds []int32) {
 	}
 }
 
-// Gen is the immutable catalog view of one delta-built generation: the
-// frozen ordinal space plus its tombstone set. Engines publish one per
-// generation; Constraints materializes the live catalog order on demand.
+// Gen is the immutable catalog view of one generation: the frozen ordinal
+// space plus its tombstone set. Engines publish one per generation, however
+// it was built; Constraints materializes the live catalog order on demand.
 type Gen struct {
 	all  constraint.Ordinals
 	dead []bool
@@ -249,10 +252,10 @@ func (s *State) Snapshot() *Gen {
 	}
 }
 
-// NewGen builds a generation view directly from a restored ordinal space —
-// the snapshot layer's entry point into a lineage. all is aliased (the
-// ordinal space is append-only from here on); dead is copied. A nil dead
-// means every ordinal is live.
+// NewGen builds a generation view directly from an ordinal space — a
+// compiled catalog's or a restored snapshot's entry point into a lineage.
+// all is aliased (the ordinal space is append-only from here on); dead is
+// copied. A nil dead means every ordinal is live.
 func NewGen(all constraint.Ordinals, dead []bool) *Gen {
 	g := &Gen{all: all, dead: make([]bool, all.Len()), live: all.Len()}
 	for i, d := range dead {
@@ -297,6 +300,43 @@ func NewStateFromGen(g *Gen) *State {
 // Live returns the number of live constraints of the generation.
 func (g *Gen) Live() int { return g.live }
 
+// Dead returns the number of tombstoned ordinals of the generation.
+func (g *Gen) Dead() int { return len(g.dead) - g.live }
+
+// Swap walks cs, the catalog a swap asks the engine to serve, against the
+// generation's live constraints in ordinal order. A constraint of cs
+// survives when the live constraints after the previous survivor hold one
+// equal to it in every exported field (predicates compared by Key); the
+// walk stops at the first that does not, so cs[:kept] are the survivors.
+// ops is the exact delta: remove every live constraint that did not
+// survive, in ordinal order, then append cs[kept:]. Survivors keep their
+// ordinals and additions append, so the lineage then serves cs in cs's
+// order, as a generation compiled from cs would. The walk is
+// O(live + len(cs)) and builds no map.
+func (g *Gen) Swap(cs []*constraint.Constraint) (ops []Op, kept int) {
+	for ord, dead := range g.dead {
+		if dead {
+			continue
+		}
+		if c := g.all.At(ord); kept < len(cs) && same(c, cs[kept]) {
+			kept++
+		} else {
+			ops = append(ops, Op{Kind: Remove, ID: c.ID})
+		}
+	}
+	for _, c := range cs[kept:] {
+		ops = append(ops, Op{Kind: Add, C: c})
+	}
+	return ops, kept
+}
+
+// same reports whether a and b agree in every exported field.
+func same(a, b *constraint.Constraint) bool {
+	return a == b || a.ID == b.ID && a.Doc == b.Doc && a.StateDependent == b.StateDependent &&
+		slices.Equal(a.Links, b.Links) && a.Consequent.Equal(b.Consequent) &&
+		slices.EqualFunc(a.Antecedents, b.Antecedents, predicate.Predicate.Equal)
+}
+
 // Constraints returns the generation's live constraints in catalog order.
 func (g *Gen) Constraints() []*constraint.Constraint {
 	out := make([]*constraint.Constraint, 0, g.live)
@@ -310,7 +350,7 @@ func (g *Gen) Constraints() []*constraint.Constraint {
 
 // Rebuild applies ops to a plain catalog and returns the resulting catalog
 // plus the validated plan — the from-scratch reference semantics of a
-// delta, shared by the engine's tombstone compaction and the differential
+// delta, shared by the engine's rebuild of an update and the differential
 // tests. The result contains the surviving constraints in
 // their original order followed by the additions, exactly the live order an
 // incremental lineage maintains.

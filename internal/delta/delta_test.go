@@ -163,3 +163,65 @@ func TestRebuildSemantics(t *testing.T) {
 		t.Error("rebuild accepted an invalid delta")
 	}
 }
+
+// TestGenSwap pins the exact swap walk: the longest prefix of the target
+// that the live constraints hold in order survives, every other live
+// constraint is removed in ordinal order, tombstones are skipped, and the
+// rest of the target is appended in order.
+func TestGenSwap(t *testing.T) {
+	sch := testSchema(t)
+	r1, r2, r3, r4 := rule("r1", "u", 1), rule("r2", "v", 2), rule("r3", "w", 3), rule("r4", "x", 4)
+	s := seed(t, r1, r2, r3, r4)
+	p, err := s.Plan([]Op{{Kind: Remove, ID: "r2"}}, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit(t, s, p)
+	gen := s.Snapshot() // ordinals r1 ✝ r3 r4
+	// removals renders the removal ops, and checks that the additions are
+	// exactly the target's tail past the survivors.
+	removals := func(ops []Op, target []*constraint.Constraint, kept int) string {
+		out, added := "", 0
+		for _, op := range ops {
+			switch {
+			case op.Kind == Remove:
+				out += op.ID + " "
+			case op.Kind != Add || op.C != target[kept+added]:
+				t.Fatalf("op %+v is not the next addition of the target's tail", op)
+			default:
+				added++
+			}
+		}
+		if added != len(target)-kept {
+			t.Fatalf("%d additions, want the %d past the survivors", added, len(target)-kept)
+		}
+		return out
+	}
+	r3copy := rule("r3", "w", 3) // equal in every field, another instance
+	r3doc := rule("r3", "w", 3).WithDoc("revised")
+	r3renamed := rule("r3b", "w", 3)
+	for _, tc := range []struct {
+		name        string
+		target      []*constraint.Constraint
+		wantRemoved string
+		wantKept    int
+	}{
+		{"same", []*constraint.Constraint{r1, r3, r4}, "", 3},
+		{"equal copy", []*constraint.Constraint{r1, r3copy, r4}, "", 3},
+		{"suffix removed", []*constraint.Constraint{r1, r3}, "r4 ", 2},
+		{"appended", []*constraint.Constraint{r1, r3, r4, r2}, "", 3},
+		{"middle removed", []*constraint.Constraint{r1, r4}, "r3 ", 2},
+		{"pair swapped", []*constraint.Constraint{r1, r4, r3}, "r3 ", 2},
+		{"doc changed", []*constraint.Constraint{r1, r3doc, r4}, "r3 r4 ", 1},
+		{"renamed", []*constraint.Constraint{r1, r3renamed, r4}, "r3 r4 ", 1},
+		{"empty", nil, "r1 r3 r4 ", 0},
+	} {
+		ops, kept := gen.Swap(tc.target)
+		if got := removals(ops, tc.target, kept); got != tc.wantRemoved || kept != tc.wantKept {
+			t.Errorf("%s: removed %q kept %d, want %q and %d", tc.name, got, kept, tc.wantRemoved, tc.wantKept)
+		}
+	}
+	if gen.Dead() != 1 || gen.Live() != 3 {
+		t.Fatalf("dead/live = %d/%d, want 1/3", gen.Dead(), gen.Live())
+	}
+}

@@ -6,8 +6,9 @@
 // predicates and n *relevant* constraints — but finding those n constraints
 // by scanning the whole catalog costs O(|catalog|) per query, which dominates
 // once catalogs outgrow the paper's 17 rules. The index removes that scan
-// with two keyed structures, both built once per catalog generation (at
-// NewEngine / SwapCatalog time) and shared read-only by every query:
+// with two keyed structures, both built once per compiled catalog
+// generation (at NewEngine, or by a catalog mutation that rebuilds; Patch
+// derives a delta's generation) and shared read-only by every query:
 //
 //   - Class posting lists. Every constraint is attached to the *rarest*
 //     object class it references (the class referenced by the fewest

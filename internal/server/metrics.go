@@ -119,7 +119,7 @@ func (s *Server) newRegistry() *obs.Registry {
 	r.Gauge("sqo_cache_capacity", "Result-cache capacity.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Cache.Capacity)})
 	})
-	r.Counter("sqo_cache_update_invalidations", "Result-cache entries handled by incremental catalog updates, by outcome (purged or survived).", func(emit func(obs.Sample)) {
+	r.Counter("sqo_cache_update_invalidations", "Result-cache entries handled by catalog mutations (updates and swaps), by outcome (purged or survived).", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Labels: obs.Label("outcome", "purged"), Value: float64(st.eng.Cache.UpdatePurged)})
 		emit(obs.Sample{Labels: obs.Label("outcome", "survived"), Value: float64(st.eng.Cache.UpdateSurvived)})
 	})

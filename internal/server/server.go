@@ -503,8 +503,9 @@ func (s *Server) handleCatalogSwap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.Store != nil {
-		// A swap restarts the catalog lineage, orphaning the journal; only
-		// a fresh snapshot baseline makes the new generation bootable.
+		// A swap is not journaled (its delta is planned from the catalog
+		// text, and a rebuild restarts the lineage); only a fresh snapshot
+		// baseline makes the new generation bootable.
 		if err := s.cfg.Store.WriteSnapshot(s.eng); err != nil {
 			s.log.Error("catalog swap snapshot failed", "err", err)
 			writeError(w, http.StatusInternalServerError,

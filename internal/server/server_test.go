@@ -185,22 +185,27 @@ func TestCatalogSwapEndpoint(t *testing.T) {
 	eng := testEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
 	_, ts := newTestServer(t, Config{Engine: eng})
 
-	// Re-render the active catalog and swap it back in: a no-op in
-	// content, but a real epoch bump.
+	// Re-render the active catalog plus one rule and swap it in: one new
+	// generation. Sending the same text again changes nothing, so the
+	// epoch stays.
 	var lines []string
 	for _, c := range eng.Catalog().All() {
 		lines = append(lines, c.String())
 	}
-	resp, raw := postJSON(t, ts.URL+"/catalog/swap", SwapRequest{Catalog: strings.Join(lines, "\n")})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
-	}
-	var out SwapResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Epoch != 1 || out.Constraints == 0 {
-		t.Fatalf("swap response = %+v, want epoch 1", out)
+	lines = append(lines, `c2: cargo.desc = "frozen food" [collects] -> vehicle.desc = "refrigerated truck"`)
+	text := strings.Join(lines, "\n")
+	for i := 0; i < 2; i++ {
+		resp, raw := postJSON(t, ts.URL+"/catalog/swap", SwapRequest{Catalog: text})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
+		}
+		var out SwapResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Epoch != 1 || out.Constraints != 2 {
+			t.Fatalf("swap %d response = %+v, want epoch 1 and 2 constraints", i+1, out)
+		}
 	}
 
 	if resp, _ := postJSON(t, ts.URL+"/catalog/swap", SwapRequest{Catalog: "not a constraint"}); resp.StatusCode != http.StatusBadRequest {

@@ -11,8 +11,9 @@
 // hashed into per-query interning maps, canonical signatures rebuilt for
 // implication bucketing, class names compared during relevance checks. All
 // of that is a pure function of the catalog, so it is hoisted here and
-// computed once per generation (NewEngine / SwapCatalog), alongside the
-// constraint index.
+// computed once per compiled generation (NewEngine, or a catalog mutation
+// that rebuilds), alongside the constraint index; Patch derives the next
+// generation of a delta by structural sharing.
 //
 // A Table is immutable after Compile and safe for unbounded concurrent use.
 // String forms stay available through the accessors for display, traces and

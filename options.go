@@ -9,11 +9,11 @@ import "time"
 type EngineOption func(*engineConfig)
 
 // engineConfig is the accumulated construction-time configuration of an
-// Engine. It is frozen at NewEngine; SwapCatalog rebuilds the derived state
-// (symbol space, index, optimizer) but never the configuration.
+// Engine. It is frozen at NewEngine; catalog mutations derive new generations
+// (symbol space, index, optimizer) but never change the configuration.
 type engineConfig struct {
-	catalog         *Catalog
-	snap            *Snapshot
+	catalog         *Catalog  // read by NewEngine only, then dropped
+	snap            *Snapshot // read by NewEngine only, then dropped
 	core            Options
 	cache           CacheConfig
 	workers         int
@@ -23,7 +23,8 @@ type engineConfig struct {
 
 // WithCatalog supplies the declared semantic-constraint catalog. The catalog
 // is validated against the schema at construction and can later be replaced
-// atomically with Engine.SwapCatalog or mutated with Engine.UpdateCatalog.
+// with Engine.SwapCatalog or mutated with Engine.UpdateCatalog, both of
+// which apply a delta and keep the cached results it cannot affect.
 // Exactly one of WithCatalog and WithSnapshot must be given.
 func WithCatalog(cat *Catalog) EngineOption {
 	return func(c *engineConfig) { c.catalog = cat }
@@ -101,8 +102,9 @@ func WithCache(cc CacheConfig) EngineOption {
 	return func(c *engineConfig) { c.cache = cc }
 }
 
-// WithWorkers sets the number of goroutines OptimizeBatch fans out to.
-// The default is runtime.GOMAXPROCS(0); values below 1 reset to the default.
+// WithWorkers sets the number of goroutines OptimizeBatch and ExecuteBatch
+// fan out to. The default is runtime.GOMAXPROCS(0); values below 1 reset to
+// the default.
 func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }

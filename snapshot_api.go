@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"sqo/internal/constraint"
 	"sqo/internal/core"
 	"sqo/internal/delta"
 	"sqo/internal/schema"
@@ -109,9 +108,9 @@ func schemaHash(s *Schema) uint64 {
 	return sum
 }
 
-// restoreState adopts a decoded snapshot model as one engine generation:
-// a delta-built-style state (gen set, declared/active nil) whose catalog
-// view materializes lazily, exactly like a generation UpdateCatalog built.
+// restoreState adopts a decoded snapshot model as one engine generation,
+// tombstones included, whose catalog view materializes lazily, exactly like
+// a patched generation's.
 func (e *Engine) restoreState(m *snapshot.Model, epoch uint64) *engineState {
 	return &engineState{
 		index: m.Index,
@@ -125,14 +124,7 @@ func (e *Engine) restoreState(m *snapshot.Model, epoch uint64) *engineState {
 // snapshotModel captures the current generation as a snapshot model.
 func (e *Engine) snapshotModel(seq uint64) *snapshot.Model {
 	st := e.state.Load()
-	var all constraint.Ordinals
-	var dead []bool
-	if st.gen != nil {
-		all, dead = st.gen.Ordinals()
-	} else {
-		all = constraint.OrdinalsOf(st.declared.All())
-		dead = make([]bool, all.Len())
-	}
+	all, dead := st.gen.Ordinals()
 	return &snapshot.Model{
 		SchemaHash: schemaHash(e.schema),
 		Seq:        seq,

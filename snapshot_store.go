@@ -149,7 +149,7 @@ func (s *SnapshotStore) Boot(sch *Schema, cat *Catalog, opts ...EngineOption) (*
 		}
 	}
 	rep.SnapshotID, rep.Seq = s.snapID, s.seq
-	rep.Constraints = eng.state.Load().constraintCount()
+	rep.Constraints = eng.state.Load().gen.Live()
 	return eng, rep, nil
 }
 

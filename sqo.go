@@ -39,8 +39,9 @@
 // space and an inverted constraint index once per generation, serves
 // Optimize/OptimizeBatch under context cancellation, caches results by
 // canonical query fingerprint, and mutates constraint catalogs under live
-// traffic — atomically wholesale (SwapCatalog) or incrementally in
-// O(|delta|) with surgical cache invalidation (UpdateCatalog).
+// traffic through one delta path — to a whole new catalog (SwapCatalog) or
+// by explicit ops (UpdateCatalog) — in O(|delta|) with surgical cache
+// invalidation.
 //
 // See examples/ for complete programs and DESIGN.md for the system map.
 package sqo

@@ -2,6 +2,7 @@ package sqo_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,11 @@ func invalidCatalog() *sqo.Catalog {
 // TestSwapCatalogErrorKeepsServing pins the error-path contract of
 // SwapCatalog: an invalid catalog mid-serve must leave the old generation
 // serving with epoch, declared catalog and result cache completely
-// untouched — the failed swap is observable only through its error.
+// untouched — the failed swap is observable only through its error. That
+// holds on both branches of the mutation path: a swap compiled from scratch
+// fails in validation, and a swap planned as a patch of a live lineage
+// fails in planning, after which the lineage still takes updates
+// incrementally.
 func TestSwapCatalogErrorKeepsServing(t *testing.T) {
 	eng, err := sqo.NewEngine(datagen.Schema(),
 		sqo.WithCatalog(datagen.Constraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
@@ -68,6 +73,41 @@ func TestSwapCatalogErrorKeepsServing(t *testing.T) {
 	if eng.Stats().Cache.Hits() != before.Cache.Hits()+1 {
 		t.Fatal("post-failure Optimize did not hit the cache")
 	}
+
+	// The patch branch: the engine has taken an update, so a lineage is
+	// live, and the swap adds one rule that does not fit the schema.
+	if _, err := eng.UpdateCatalog(sqo.NewCatalogDelta().AddConstraints(freshRule(t))); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = eng.Optimize(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	catBefore = eng.Catalog()
+	before = eng.Stats()
+	plusBad, err := sqo.NewCatalog(append(catBefore.All(), invalidCatalog().All()...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SwapCatalog(plusBad); err == nil {
+		t.Fatal("SwapCatalog accepted an added rule that does not fit the schema")
+	}
+	if after := eng.Stats(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed patch-path swap changed the engine's stats:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if eng.Catalog() != catBefore {
+		t.Fatal("failed patch-path swap replaced the declared catalog")
+	}
+	if got, err := eng.Optimize(ctx, q); err != nil || got != want {
+		t.Fatalf("cache entry was not served after the failed patch-path swap (err %v)", err)
+	}
+	rep, err := eng.UpdateCatalog(sqo.NewCatalogDelta().AddConstraints(freshRule(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Incremental || rep.Added != 1 || rep.Epoch != before.Epoch+1 {
+		t.Fatalf("update after the failed swap: %+v, want one incremental addition at epoch %d", rep, before.Epoch+1)
+	}
+	diffDelta(t, "update after a failed patch-path swap", eng, scratchEngine(t, datagen.Schema(), eng.Catalog()), q)
 }
 
 // TestSwapCatalogErrorOptimizeRace hammers Optimize while failing swaps (and

@@ -16,8 +16,10 @@
 //	POST /query           {"query": "(SELECT ...)", "optimize": true}
 //	POST /catalog/swap    {"catalog": "c1: a.x = 1 [r] -> b.y = 2\n..."}
 //	POST /catalog/update  {"add": ["c9: ..."], "remove": ["c1"], "replace": {"c2": "c2: ..."}}
-//	GET  /healthz
-//	GET  /stats
+//	GET  /healthz, /readyz
+//	GET  /quarantine      POST /quarantine/reset
+//	GET  /metrics         (OpenMetrics: every counter the daemon serves)
+//	GET  /trace/{id}, /traces
 //
 // The engine serves the declared catalog through the inverted constraint
 // index over its interned symbol space. /catalog/update applies an

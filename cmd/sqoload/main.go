@@ -678,33 +678,43 @@ type cacheCounters struct {
 func (c cacheCounters) hits() int64 { return c.Exact + c.Canonical + c.Subsumption }
 
 // fetchCacheCounters reads the engine's cumulative cache counters from
-// GET /stats.
+// GET /metrics: sqo_cache_hits_total by tier and sqo_cache_misses_total. A
+// series the scrape lacks reads 0.
 func fetchCacheCounters(client *http.Client, base string) (cacheCounters, error) {
-	resp, err := client.Get(base + "/stats")
+	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return cacheCounters{}, err
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Engine struct {
-			Cache struct {
-				ExactHits       int64 `json:"ExactHits"`
-				CanonicalHits   int64 `json:"CanonicalHits"`
-				SubsumptionHits int64 `json:"SubsumptionHits"`
-				Misses          int64 `json:"Misses"`
-			} `json:"Cache"`
-		} `json:"engine"`
+	if resp.StatusCode != http.StatusOK {
+		return cacheCounters{}, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return cacheCounters{}, err
 	}
-	c := body.Engine.Cache
-	return cacheCounters{
-		Exact:       c.ExactHits,
-		Canonical:   c.CanonicalHits,
-		Subsumption: c.SubsumptionHits,
-		Misses:      c.Misses,
-	}, nil
+	var c cacheCounters
+	series := map[string]*int64{
+		`sqo_cache_hits_total{tier="exact"}`:       &c.Exact,
+		`sqo_cache_hits_total{tier="canonical"}`:   &c.Canonical,
+		`sqo_cache_hits_total{tier="subsumption"}`: &c.Subsumption,
+		"sqo_cache_misses_total":                   &c.Misses,
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		dst := series[name]
+		if !ok || dst == nil {
+			continue
+		}
+		// Values are floats: the renderer writes large counts in exponent
+		// form.
+		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+		if err != nil {
+			return cacheCounters{}, fmt.Errorf("GET /metrics: %s: %w", name, err)
+		}
+		*dst = int64(v)
+	}
+	return c, nil
 }
 
 // fetchLadder reads the degradation ladder level the daemon ends the run at
@@ -788,10 +798,10 @@ func fetchTraces(client *http.Client, base string, samples []sample) *traceRepor
 }
 
 // sendSwap re-renders the logistics constraint catalog and swaps it in. The
-// text format drops Doc, so against the documented catalog sqod boots with
-// the swap replaces its 17 documented rules: one epoch bump and a sweep of
-// the entries those rules reach. A swap whose catalog the engine already
-// serves, field for field, publishes nothing and keeps the epoch.
+// text form carries every field a swap compares, so against the catalog
+// sqod boots with the swap publishes nothing and keeps the epoch. Under
+// -mutate it also removes the live synthetic rule, a patch whose sweep
+// drops only the cached entries that rule reaches.
 func sendSwap(client *http.Client, rng *rand.Rand, base string) sample {
 	var lines []string
 	for _, c := range sqo.LogisticsConstraints().All() {

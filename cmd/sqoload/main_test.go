@@ -94,6 +94,64 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestFetchCacheCounters reads the cache series from a fixed exposition:
+// values in exponent form parse, and a series the scrape lacks (no
+// subsumption hits here) reads 0.
+func TestFetchCacheCounters(t *testing.T) {
+	const exposition = `# HELP sqo_cache_hits Result-cache hits by tier: exact, canonical, subsumption.
+# TYPE sqo_cache_hits counter
+sqo_cache_hits_total{tier="exact"} 1.5e+15
+sqo_cache_hits_total{tier="canonical"} 42
+# HELP sqo_cache_misses Result-cache lookups that fell through to cold optimization.
+# TYPE sqo_cache_misses counter
+sqo_cache_misses_total 7
+# HELP sqo_cache_evictions Result-cache LRU evictions.
+# TYPE sqo_cache_evictions counter
+sqo_cache_evictions_total 3
+# EOF
+`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(exposition))
+	}))
+	defer ts.Close()
+	got, err := fetchCacheCounters(ts.Client(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cacheCounters{Exact: 1_500_000_000_000_000, Canonical: 42, Subsumption: 0, Misses: 7}
+	if got != want {
+		t.Fatalf("counters = %+v, want %+v", got, want)
+	}
+
+	// Against a live server the same series names count a miss and a hit.
+	eng, err := sqo.NewEngine(sqo.LogisticsSchema(),
+		sqo.WithCatalog(sqo.LogisticsConstraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(server.Config{Engine: eng, MonitorInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	live := httptest.NewServer(s.Handler())
+	defer live.Close()
+	rng := rand.New(rand.NewSource(1))
+	q := `(SELECT {cargo.desc} {} {vehicle.desc = "refrigerated truck"} {collects} {vehicle, cargo})`
+	for i := 0; i < 2; i++ {
+		if r := sendSingle(live.Client(), rng, live.URL, q, false); !is2xx(r.status) {
+			t.Fatalf("optimize %d status = %d", i, r.status)
+		}
+	}
+	if got, err = fetchCacheCounters(live.Client(), live.URL); err != nil || got != (cacheCounters{Exact: 1, Misses: 1}) {
+		t.Fatalf("live counters = %+v, %v; want 1 exact hit and 1 miss", got, err)
+	}
+}
+
 // logisticsDaemon serves the logistics world from an in-process server, the
 // catalog sqoload's -swap reinstalls and its -mutate rules extend.
 func logisticsDaemon(t *testing.T) string {

@@ -79,7 +79,7 @@ func (e *Engine) ExecuteBatch(ctx context.Context, qs []*Query) ([]*Execution, e
 }
 
 // recordExecution folds one execution's meter into the engine's cumulative
-// serving counters (EngineStats, GET /stats).
+// serving counters (EngineStats, and sqod's GET /metrics).
 func (e *Engine) recordExecution(out *Execution) {
 	e.executions.Add(1)
 	e.execTuples.Add(out.TuplesScanned)

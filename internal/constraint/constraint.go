@@ -22,6 +22,7 @@ package constraint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"sqo/internal/predicate"
@@ -213,9 +214,12 @@ func (c *Constraint) Validate(s *schema.Schema) error {
 	return nil
 }
 
-// String renders the constraint in the paper's arrow notation:
+// String renders the constraint in the paper's arrow notation, followed by
+// its notes: "state-dependent" when StateDependent is set, and the Doc as a
+// quoted literal after "doc". Parse reads every field back.
 //
 //	c1: vehicle.desc = "refrigerated truck" [collects] -> cargo.desc = "frozen food"
+//	c2: cargo.desc = "frozen food" [supplies] -> supplier.name = "SFI" doc "we get frozen food only from SFI"
 func (c *Constraint) String() string {
 	var sb strings.Builder
 	sb.WriteString(c.ID)
@@ -236,6 +240,13 @@ func (c *Constraint) String() string {
 	}
 	sb.WriteString(" -> ")
 	sb.WriteString(c.Consequent.String())
+	if c.StateDependent {
+		sb.WriteString(" state-dependent")
+	}
+	if c.Doc != "" {
+		sb.WriteString(" doc ")
+		sb.WriteString(strconv.Quote(c.Doc))
+	}
 	return sb.String()
 }
 

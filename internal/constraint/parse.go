@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -14,9 +15,13 @@ import (
 //	c1: vehicle.desc = "refrigerated truck" [collects] -> cargo.desc = "frozen food"
 //	c3: true [drives] -> driver.licenseClass >= vehicle.class
 //	c6: cargo.desc = "frozen food" ∧ cargo.priority >= 2 -> cargo.quantity <= 500
+//	s1: cargo.desc = "oil" -> cargo.priority >= 3 state-dependent doc "oil ships first"
 //
 // Antecedents are separated by "∧" or "&"; "true" denotes an empty
-// antecedent list; the bracketed relationship list is optional.
+// antecedent list; the bracketed relationship list is optional. Optional
+// notes follow the consequent in this order: "state-dependent", then "doc"
+// and a quoted literal. They follow the arrow, so a Doc may hold ':', "->",
+// '#' or '∧'.
 func Parse(line string) (*Constraint, error) {
 	c, err := parseLine(line)
 	if err != nil {
@@ -100,11 +105,30 @@ func parseLine(line string) (*Constraint, error) {
 		}
 	}
 
-	cons, err := parsePredicate(consText)
+	// The consequent is the first three tokens; the notes follow it.
+	fields := tokenizePredicate(consText)
+	if len(fields) < 3 {
+		return nil, fmt.Errorf("malformed predicate %q (want lhs op rhs)", consText)
+	}
+	cons, err := predicateOf(fields[:3])
 	if err != nil {
 		return nil, err
 	}
-	return New(id, ants, links, cons), nil
+	c := New(id, ants, links, cons)
+	notes := fields[3:]
+	if len(notes) > 0 && notes[0] == "state-dependent" {
+		c.StateDependent, notes = true, notes[1:]
+	}
+	if len(notes) == 2 && notes[0] == "doc" {
+		if c.Doc, err = strconv.Unquote(notes[1]); err != nil {
+			return nil, fmt.Errorf("doc %s: %w", notes[1], err)
+		}
+		notes = nil
+	}
+	if len(notes) > 0 {
+		return nil, fmt.Errorf("unexpected %q after the consequent", notes[0])
+	}
+	return c, nil
 }
 
 // findLinkList locates the last '[' … ']' pair outside string literals.
@@ -163,6 +187,11 @@ func parsePredicate(s string) (predicate.Predicate, error) {
 	if len(fields) != 3 {
 		return predicate.Predicate{}, fmt.Errorf("malformed predicate %q (want lhs op rhs)", s)
 	}
+	return predicateOf(fields)
+}
+
+// predicateOf builds a predicate from its three tokens: lhs, op, rhs.
+func predicateOf(fields []string) (predicate.Predicate, error) {
 	lhsClass, lhsAttr, err := splitRef(fields[0])
 	if err != nil {
 		return predicate.Predicate{}, err
@@ -172,8 +201,7 @@ func parsePredicate(s string) (predicate.Predicate, error) {
 		return predicate.Predicate{}, err
 	}
 	rhs := fields[2]
-	if rhs != "" && (rhs[0] == '"' || rhs[0] == '-' || unicode.IsDigit(rune(rhs[0])) ||
-		rhs == "true" || rhs == "false") {
+	if isLiteral(rhs) {
 		v, err := value.Parse(rhs)
 		if err != nil {
 			return predicate.Predicate{}, err
@@ -187,11 +215,13 @@ func parsePredicate(s string) (predicate.Predicate, error) {
 	return predicate.Join(lhsClass, lhsAttr, op, rhsClass, rhsAttr), nil
 }
 
-// tokenizePredicate splits "lhs op rhs" respecting quoted strings.
+// tokenizePredicate splits "lhs op rhs" on whitespace outside quoted
+// strings; a backslash inside a string escapes the next rune, so a quoted
+// literal may hold '"'.
 func tokenizePredicate(s string) []string {
 	var out []string
 	var cur strings.Builder
-	inString := false
+	inString, escaped := false, false
 	flush := func() {
 		if cur.Len() > 0 {
 			out = append(out, cur.String())
@@ -200,6 +230,12 @@ func tokenizePredicate(s string) []string {
 	}
 	for _, r := range s {
 		switch {
+		case escaped:
+			escaped = false
+			cur.WriteRune(r)
+		case inString && r == '\\':
+			escaped = true
+			cur.WriteRune(r)
 		case r == '"':
 			inString = !inString
 			cur.WriteRune(r)
@@ -213,9 +249,20 @@ func tokenizePredicate(s string) []string {
 	return out
 }
 
+// isLiteral reports whether a token reads as a constant rather than an
+// attribute reference.
+func isLiteral(tok string) bool {
+	return tok != "" && (tok[0] == '"' || tok[0] == '-' || unicode.IsDigit(rune(tok[0])) ||
+		tok == "true" || tok == "false")
+}
+
+// splitRef reads `class.attr`. A reference that reads as a literal ("0.5")
+// or holds a quote is refused, so every reference String renders parses
+// back as one.
 func splitRef(s string) (class, attr string, err error) {
 	i := strings.IndexByte(s, '.')
-	if i <= 0 || i == len(s)-1 || strings.IndexByte(s[i+1:], '.') >= 0 {
+	if i <= 0 || i == len(s)-1 || strings.IndexByte(s[i+1:], '.') >= 0 ||
+		isLiteral(s) || strings.ContainsRune(s, '"') {
 		return "", "", fmt.Errorf("malformed attribute reference %q", s)
 	}
 	return s[:i], s[i+1:], nil

@@ -89,16 +89,25 @@ func TestParseNumericAndBoolLiterals(t *testing.T) {
 }
 
 // TestParseRoundTripPaperCatalog: every constraint of the logistics catalog
-// survives String -> Parse with identical identity. (The catalog lives in
-// datagen, which imports this package; rebuild the paper constraints here.)
+// survives String -> Parse with every field intact, Doc and StateDependent
+// included. (The catalog lives in datagen, which imports this package;
+// rebuild the paper constraints here.)
 func TestParseRoundTripPaperConstraints(t *testing.T) {
+	derived := func() *Constraint {
+		c := New("s1", []predicate.Predicate{predicate.Eq("cargo", "desc", value.String("oil"))},
+			nil, predicate.Sel("cargo", "priority", predicate.GE, value.Int(3)))
+		c.StateDependent = true
+		return c
+	}
 	cs := []*Constraint{
 		New("c1",
 			[]predicate.Predicate{predicate.Eq("vehicle", "desc", value.String("refrigerated truck"))},
 			[]string{"collects"},
-			predicate.Eq("cargo", "desc", value.String("frozen food"))),
+			predicate.Eq("cargo", "desc", value.String("frozen food"))).
+			WithDoc("refrigerated trucks can only be used to carry frozen food"),
 		New("c3", nil, []string{"drives"},
-			predicate.Join("driver", "licenseClass", predicate.GE, "vehicle", "class")),
+			predicate.Join("driver", "licenseClass", predicate.GE, "vehicle", "class")).
+			WithDoc(`a driver's "class" -> at most his license: see §2.2 ∧ #3`),
 		New("c4", []predicate.Predicate{predicate.Eq("driver", "rank", value.String("supervisor"))},
 			nil, predicate.Eq("driver", "clearance", value.String("top secret"))),
 		New("c6",
@@ -107,14 +116,16 @@ func TestParseRoundTripPaperConstraints(t *testing.T) {
 				predicate.Sel("cargo", "priority", predicate.GE, value.Int(2)),
 			},
 			nil, predicate.Sel("cargo", "quantity", predicate.LE, value.Int(500))),
+		derived(),
+		derived().WithDoc("state: oil ships first\nsecond line"),
 	}
 	for _, c := range cs {
 		back, err := Parse(c.String())
 		if err != nil {
 			t.Fatalf("round trip of %s: %v", c, err)
 		}
-		if back.Key() != c.Key() {
-			t.Errorf("round trip changed identity:\n in: %s\nout: %s", c, back)
+		if back.Key() != c.Key() || !sameFields(back, c) {
+			t.Errorf("round trip changed a field:\n in: %s\nout: %s", c, back)
 		}
 	}
 }
@@ -158,6 +169,12 @@ func TestParseErrors(t *testing.T) {
 		"k: a.b = -> c.d = 2",               // missing rhs
 		`k: a.b = "unterminated -> c.d = 2`, // dangling string
 		"k: a.b = 1 extra -> c.d = 2",       // too many tokens
+		"k: a.b = 1 -> c.d = 2 extra",       // unknown note
+		"k: a.b = 1 -> c.d = 2 doc",         // doc without text
+		"k: a.b = 1 -> c.d = 2 doc unquoted",
+		`k: a.b = 1 -> c.d = 2 doc "a" doc "b"`,
+		"k: a.b = 1 -> c.d = 2 state-dependent state-dependent",
+		`k: a.b = 1 -> c.d = 2 doc "a" state-dependent`, // notes out of order
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {

@@ -199,9 +199,6 @@ type AdmissionStats struct {
 	ServiceEWMAUS int64 `json:"service_ewma_us"`
 }
 
-// Shed returns the total requests refused, both reasons.
-func (s AdmissionStats) Shed() int64 { return s.ShedQueueFull + s.ShedDeadline }
-
 // Stats snapshots the controller. Safe under concurrent traffic.
 func (a *Admission) Stats() AdmissionStats {
 	return AdmissionStats{

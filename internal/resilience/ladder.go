@@ -156,9 +156,8 @@ func (l *Ladder) Observe(queueFrac float64, p99US int64) int {
 
 // LadderStats is a point-in-time view of the ladder.
 type LadderStats struct {
-	// Level is the degradation level in force; LevelName its wire name.
-	Level     int    `json:"level"`
-	LevelName string `json:"level_name"`
+	// Level is the degradation level in force.
+	Level int `json:"level"`
 	// Escalations and Deescalations count level changes since start.
 	Escalations   int64 `json:"escalations"`
 	Deescalations int64 `json:"deescalations"`
@@ -166,7 +165,7 @@ type LadderStats struct {
 	P99BaselineUS int64 `json:"p99_baseline_us"`
 }
 
-// LevelName renders a degradation level for logs and /stats.
+// LevelName renders a degradation level for logs and /readyz.
 func LevelName(level int) string {
 	switch level {
 	case LevelFull:
@@ -185,10 +184,8 @@ func (l *Ladder) Stats() LadderStats {
 	l.mu.Lock()
 	base := l.p99Base
 	l.mu.Unlock()
-	lvl := l.Level()
 	return LadderStats{
-		Level:         lvl,
-		LevelName:     LevelName(lvl),
+		Level:         l.Level(),
 		Escalations:   l.escalations.Load(),
 		Deescalations: l.deescalations.Load(),
 		P99BaselineUS: int64(base),

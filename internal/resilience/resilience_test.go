@@ -16,7 +16,7 @@ func TestAdmissionFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := a.Stats()
-	if st.InFlight != 1 || st.Admitted != 1 || st.Shed() != 0 {
+	if st.InFlight != 1 || st.Admitted != 1 || st.ShedQueueFull+st.ShedDeadline != 0 {
 		t.Fatalf("after one acquire: %+v", st)
 	}
 	release()

@@ -68,43 +68,6 @@ func (h *histogram) observeTraced(us int64, traceID uint64) {
 	h.exemplarID[i].Store(traceID)
 }
 
-// HistogramSnapshot is a point-in-time summary of one endpoint's latency
-// distribution, in microseconds. Quantiles are upper bounds of the bucket
-// holding the target rank (within 2× of the true value), clamped to the
-// exact observed maximum.
-type HistogramSnapshot struct {
-	Count  int64 `json:"count"`
-	MeanUS int64 `json:"mean_us"`
-	P50US  int64 `json:"p50_us"`
-	P95US  int64 `json:"p95_us"`
-	P99US  int64 `json:"p99_us"`
-	MaxUS  int64 `json:"max_us"`
-}
-
-// snapshot summarizes the histogram. Concurrent observes may be partially
-// visible — counters are read without a global lock — which for serving
-// metrics is the right trade.
-func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		MaxUS: h.maxUS.Load(),
-	}
-	if s.Count == 0 {
-		return s
-	}
-	s.MeanUS = h.sumUS.Load() / s.Count
-	var counts [histBuckets]int64
-	var total int64
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	s.P50US = quantile(&counts, total, 0.50, s.MaxUS)
-	s.P95US = quantile(&counts, total, 0.95, s.MaxUS)
-	s.P99US = quantile(&counts, total, 0.99, s.MaxUS)
-	return s
-}
-
 // histCursor is a caller-held copy of the bucket counters, the baseline a
 // windowed quantile measures growth against.
 type histCursor [histBuckets]int64

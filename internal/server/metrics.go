@@ -1,12 +1,13 @@
 package server
 
-// metrics.go: the Prometheus/OpenMetrics surface of the serving layer.
-// Nothing here collects anything new — every series is a rendering of a
-// counter or histogram the serving stack already maintains (engine stats,
-// admission controller, degradation ladder, quarantine register, execution
-// meters, per-endpoint latency). One engine/resilience snapshot is taken
-// per scrape and held under a mutex while the registry renders, so a
-// scrape observes a single consistent point in time.
+// metrics.go: the Prometheus/OpenMetrics surface of the serving layer, and
+// the only place the server reports counters. Nothing here collects
+// anything new — every series is a rendering of a counter or histogram the
+// serving stack already maintains (engine stats, admission controller,
+// degradation ladder, quarantine register, execution meters, per-endpoint
+// latency). One engine/resilience snapshot is taken per scrape and held
+// under a mutex while the registry renders, so a scrape observes a single
+// consistent point in time.
 
 import (
 	"errors"
@@ -18,6 +19,7 @@ import (
 
 	"sqo"
 	"sqo/internal/obs"
+	"sqo/internal/resilience"
 )
 
 // scrapeState is the per-scrape snapshot the registry's collectors read.
@@ -26,14 +28,16 @@ import (
 type scrapeState struct {
 	mu     sync.Mutex
 	eng    sqo.EngineStats
-	res    ResilienceStats
+	adm    resilience.AdmissionStats
+	lad    resilience.LadderStats
 	trc    obs.TracerStats
 	mem    runtime.MemStats
 	uptime float64
 }
 
 // endpoints pairs each instrumented path with its metrics, the label set
-// of the per-endpoint families.
+// of the per-endpoint families. It is the one list of instrumented
+// endpoints.
 func (s *Server) endpoints() []struct {
 	path string
 	m    *endpointMetrics
@@ -47,7 +51,6 @@ func (s *Server) endpoints() []struct {
 		{"/query", s.queryM},
 		{"/catalog/swap", s.swapM},
 		{"/catalog/update", s.updateM},
-		{"/stats", s.statsM},
 	}
 }
 
@@ -80,11 +83,16 @@ func (s *Server) newRegistry() *obs.Registry {
 			emit(ep.m.hist.expose(obs.Label("endpoint", ep.path)))
 		}
 	})
+	r.Gauge("sqo_request_duration_max_seconds", "Longest request service time since start, by endpoint.", func(emit func(obs.Sample)) {
+		for _, ep := range s.endpoints() {
+			emit(obs.Sample{Labels: obs.Label("endpoint", ep.path), Value: float64(ep.m.hist.maxUS.Load()) / 1e6})
+		}
+	})
 	r.Gauge("sqo_uptime_seconds", "Seconds since the server was constructed.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: st.uptime})
 	})
 	r.Gauge("sqo_draining", "1 while the server is draining (readiness false).", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: boolGauge(st.res.Draining)})
+		emit(obs.Sample{Value: boolGauge(s.draining.Load())})
 	})
 	r.Gauge("sqo_snapshot_boot_info", "How the engine came up; the mode label is warm (snapshot restore), cold (full rebuild) or none (no snapshot store).", func(emit func(obs.Sample)) {
 		mode := s.cfg.BootMode
@@ -119,6 +127,10 @@ func (s *Server) newRegistry() *obs.Registry {
 	r.Gauge("sqo_cache_capacity", "Result-cache capacity.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Cache.Capacity)})
 	})
+	r.Gauge("sqo_cache_mode", "1 when a cache feature is in effect, by feature (canonicalize or subsume; subsume reads 0 under a statistics cost model even when requested).", func(emit func(obs.Sample)) {
+		emit(obs.Sample{Labels: obs.Label("feature", "canonicalize"), Value: boolGauge(st.eng.Cache.Canonicalize)})
+		emit(obs.Sample{Labels: obs.Label("feature", "subsume"), Value: boolGauge(st.eng.Cache.Subsume)})
+	})
 	r.Counter("sqo_cache_update_invalidations", "Result-cache entries handled by catalog mutations (updates and swaps), by outcome (purged or survived).", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Labels: obs.Label("outcome", "purged"), Value: float64(st.eng.Cache.UpdatePurged)})
 		emit(obs.Sample{Labels: obs.Label("outcome", "survived"), Value: float64(st.eng.Cache.UpdateSurvived)})
@@ -137,36 +149,53 @@ func (s *Server) newRegistry() *obs.Registry {
 	r.Gauge("sqo_catalog_constraints", "Live constraints in the current catalog generation.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Constraints)})
 	})
+	r.Gauge("sqo_index_shape", "Shape of the current generation's constraint index, by kind: constraints, class_buckets, max_class_posting, attr_keys.", func(emit func(obs.Sample)) {
+		ix := st.eng.ConstraintIndex
+		emit(obs.Sample{Labels: obs.Label("kind", "constraints"), Value: float64(ix.Constraints)})
+		emit(obs.Sample{Labels: obs.Label("kind", "class_buckets"), Value: float64(ix.ClassBuckets)})
+		emit(obs.Sample{Labels: obs.Label("kind", "max_class_posting"), Value: float64(ix.MaxClassPosting)})
+		emit(obs.Sample{Labels: obs.Label("kind", "attr_keys"), Value: float64(ix.AttrKeys)})
+	})
 
 	// --- admission + degradation + quarantine ----------------------------
 	r.Counter("sqo_admission_admitted", "Data-plane requests that got an admission slot.", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: float64(st.res.Admission.Admitted)})
+		emit(obs.Sample{Value: float64(st.adm.Admitted)})
 	})
 	r.Counter("sqo_admission_shed", "Data-plane requests refused, by reason (queue_full or deadline).", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Labels: obs.Label("reason", "queue_full"), Value: float64(st.res.Admission.ShedQueueFull)})
-		emit(obs.Sample{Labels: obs.Label("reason", "deadline"), Value: float64(st.res.Admission.ShedDeadline)})
+		emit(obs.Sample{Labels: obs.Label("reason", "queue_full"), Value: float64(st.adm.ShedQueueFull)})
+		emit(obs.Sample{Labels: obs.Label("reason", "deadline"), Value: float64(st.adm.ShedDeadline)})
+	})
+	r.Gauge("sqo_admission_limit", "Configured admission limits, by kind (concurrent slots or queue positions).", func(emit func(obs.Sample)) {
+		emit(obs.Sample{Labels: obs.Label("kind", "concurrent"), Value: float64(st.adm.MaxConcurrent)})
+		emit(obs.Sample{Labels: obs.Label("kind", "queue"), Value: float64(st.adm.MaxQueue)})
 	})
 	r.Gauge("sqo_admission_in_flight", "Admitted requests currently holding a slot.", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: float64(st.res.Admission.InFlight)})
+		emit(obs.Sample{Value: float64(st.adm.InFlight)})
 	})
 	r.Gauge("sqo_admission_queued", "Requests waiting behind the admitted set.", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: float64(st.res.Admission.Queued)})
+		emit(obs.Sample{Value: float64(st.adm.Queued)})
 	})
 	r.Gauge("sqo_admission_service_ewma_seconds", "Admission controller's service-time estimate.", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: float64(st.res.Admission.ServiceEWMAUS) / 1e6})
+		emit(obs.Sample{Value: float64(st.adm.ServiceEWMAUS) / 1e6})
 	})
 	r.Gauge("sqo_degradation_level", "Graceful-degradation ladder level in force (0 = full serving).", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Value: float64(st.res.Ladder.Level)})
+		emit(obs.Sample{Value: float64(st.lad.Level)})
 	})
 	r.Counter("sqo_degradation_changes", "Ladder level changes, by direction (escalation or deescalation).", func(emit func(obs.Sample)) {
-		emit(obs.Sample{Labels: obs.Label("direction", "escalation"), Value: float64(st.res.Ladder.Escalations)})
-		emit(obs.Sample{Labels: obs.Label("direction", "deescalation"), Value: float64(st.res.Ladder.Deescalations)})
+		emit(obs.Sample{Labels: obs.Label("direction", "escalation"), Value: float64(st.lad.Escalations)})
+		emit(obs.Sample{Labels: obs.Label("direction", "deescalation"), Value: float64(st.lad.Deescalations)})
+	})
+	r.Gauge("sqo_degradation_p99_baseline_seconds", "Calm-traffic p99 the ladder's latency trend compares against.", func(emit func(obs.Sample)) {
+		emit(obs.Sample{Value: float64(st.lad.P99BaselineUS) / 1e6})
 	})
 	r.Gauge("sqo_quarantine_tracked", "Fingerprints carrying at least one panic strike.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Quarantine.Tracked)})
 	})
 	r.Counter("sqo_quarantine_quarantined", "Fingerprints that crossed the strike limit.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Quarantine.Quarantined)})
+	})
+	r.Counter("sqo_quarantine_strikes", "Recovered panics registered as strikes.", func(emit func(obs.Sample)) {
+		emit(obs.Sample{Value: float64(st.eng.Quarantine.Strikes)})
 	})
 	r.Counter("sqo_quarantine_blocked", "Requests short-circuited by an active quarantine.", func(emit func(obs.Sample)) {
 		emit(obs.Sample{Value: float64(st.eng.Quarantine.Blocked)})
@@ -229,7 +258,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.eng = s.eng.Stats()
-	st.res = s.resilienceStats()
+	st.adm = s.adm.Stats()
+	st.lad = s.ladder.Stats()
 	st.uptime = time.Since(s.start).Seconds()
 	st.trc = s.tracer.Stats()
 	runtime.ReadMemStats(&st.mem)
@@ -253,9 +283,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// tracesResponse is the body of GET /traces.
+// tracesResponse is the body of GET /traces. The tracer's counters are the
+// sqo_traces_* families on /metrics.
 type tracesResponse struct {
-	Stats  obs.TracerStats    `json:"stats"`
 	Traces []obs.TraceSummary `json:"traces"`
 }
 
@@ -271,8 +301,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = parsed
 	}
-	writeJSON(w, http.StatusOK, tracesResponse{
-		Stats:  s.tracer.Stats(),
-		Traces: s.tracer.Recent(n),
-	})
+	writeJSON(w, http.StatusOK, tracesResponse{Traces: s.tracer.Recent(n)})
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqo"
 	"sqo/internal/obs"
 )
 
@@ -18,13 +19,12 @@ import (
 func TestHistogramSingleObservation(t *testing.T) {
 	var h histogram
 	h.observe(100)
-	s := h.snapshot()
-	if s.Count != 1 || s.MaxUS != 100 || s.MeanUS != 100 {
-		t.Fatalf("snapshot = %+v", s)
+	if n, maxUS, mean := h.expose("").Count, h.maxUS.Load(), meanUS(&h); n != 1 || maxUS != 100 || mean != 100 {
+		t.Fatalf("count %d, max %d, mean %d; want 1, 100, 100", n, maxUS, mean)
 	}
 	// One observation: every quantile is the single bucket, clamped to max.
-	if s.P50US != 100 || s.P95US != 100 || s.P99US != 100 {
-		t.Fatalf("single-observation quantiles not clamped to max: %+v", s)
+	if p50, p95, p99 := quantiles(t, &h); p50 != 100 || p95 != 100 || p99 != 100 {
+		t.Fatalf("single-observation quantiles not clamped to max: %d/%d/%d", p50, p95, p99)
 	}
 }
 
@@ -36,13 +36,13 @@ func TestHistogramAllOverflow(t *testing.T) {
 	const huge = int64(1) << 62 // lands in bucket 63
 	h.observe(huge)
 	h.observe(huge + 1)
-	s := h.snapshot()
-	if s.Count != 2 {
-		t.Fatalf("count = %d", s.Count)
+	if n := h.expose("").Count; n != 2 {
+		t.Fatalf("count = %d", n)
 	}
-	for _, q := range []int64{s.P50US, s.P95US, s.P99US} {
+	p50, p95, p99 := quantiles(t, &h)
+	for _, q := range []int64{p50, p95, p99} {
 		if q != huge+1 {
-			t.Fatalf("overflow-bucket quantile = %d, want clamp to max %d (%+v)", q, huge+1, s)
+			t.Fatalf("overflow-bucket quantile = %d, want clamp to max %d (%d/%d/%d)", q, huge+1, p50, p95, p99)
 		}
 	}
 }
@@ -188,9 +188,52 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sqo_exec_storage_ops_total{kind="tuples_scanned"}`,
 		"sqo_traces_sampled_total 2",
 		`sqo_request_duration_seconds_count{endpoint="/optimize"} 2`,
+		`sqo_request_duration_max_seconds{endpoint="/optimize"} `,
+		`sqo_cache_mode{feature="canonicalize"} 0`,
+		`sqo_cache_mode{feature="subsume"} 0`,
+		`sqo_index_shape{kind="constraints"} 1`,
+		`sqo_index_shape{kind="class_buckets"} `,
+		`sqo_index_shape{kind="max_class_posting"} 1`,
+		`sqo_index_shape{kind="attr_keys"} `,
+		`sqo_admission_limit{kind="concurrent"} 16`,
+		`sqo_admission_limit{kind="queue"} 64`,
+		"sqo_degradation_p99_baseline_seconds ",
+		"sqo_quarantine_strikes_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	// /stats is not an endpoint, so no series carries it as a label.
+	if strings.Contains(body, `endpoint="/stats"`) {
+		t.Error(`exposition still carries endpoint="/stats" series`)
+	}
+}
+
+// TestMetricsCacheAndIndexFamilies: sqo_cache_mode reports the effective
+// cache configuration and sqo_index_shape the served index.
+func TestMetricsCacheAndIndexFamilies(t *testing.T) {
+	eng := testEngine(t, sqo.WithCache(sqo.CacheConfig{Capacity: 64, Canonicalize: true, Subsume: true}))
+	want := eng.Stats()
+	_, ts := newTestServer(t, Config{Engine: eng})
+	m := scrape(t, ts.URL)
+	for series, v := range map[string]bool{
+		`sqo_cache_mode{feature="canonicalize"}`: want.Cache.Canonicalize,
+		`sqo_cache_mode{feature="subsume"}`:      want.Cache.Subsume,
+	} {
+		if got := m(series); got != boolGauge(v) || !v {
+			t.Errorf("%s = %v, want 1 (engine reports %v)", series, got, v)
+		}
+	}
+	ix := want.ConstraintIndex
+	for series, v := range map[string]int{
+		`sqo_index_shape{kind="constraints"}`:       ix.Constraints,
+		`sqo_index_shape{kind="class_buckets"}`:     ix.ClassBuckets,
+		`sqo_index_shape{kind="max_class_posting"}`: ix.MaxClassPosting,
+		`sqo_index_shape{kind="attr_keys"}`:         ix.AttrKeys,
+	} {
+		if got := m(series); got != float64(v) || v == 0 {
+			t.Errorf("%s = %v, want the engine's %d (non-zero)", series, got, v)
 		}
 	}
 }
@@ -281,15 +324,15 @@ func TestTraceForceAndFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lresp.Body.Close()
-	var list struct {
-		Stats  obs.TracerStats    `json:"stats"`
-		Traces []obs.TraceSummary `json:"traces"`
-	}
-	if err := json.NewDecoder(lresp.Body).Decode(&list); err != nil {
+	// The list carries traces only; the tracer's counters are on /metrics.
+	var list tracesResponse
+	dec := json.NewDecoder(lresp.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if list.Stats.Forced != 1 {
-		t.Fatalf("stats = %+v", list.Stats)
+	if forced := scrape(t, ts.URL)("sqo_traces_forced_total"); forced != 1 {
+		t.Fatalf("sqo_traces_forced_total = %v, want 1", forced)
 	}
 	var listed bool
 	for _, tr := range list.Traces {

@@ -97,29 +97,6 @@ func (s *Server) SetDegradation(level int) {
 // DegradationLevel returns the ladder level currently in force.
 func (s *Server) DegradationLevel() int { return s.ladder.Level() }
 
-// ResilienceStats is the overload-protection section of GET /stats.
-type ResilienceStats struct {
-	Admission resilience.AdmissionStats `json:"admission"`
-	Ladder    resilience.LadderStats    `json:"ladder"`
-	Draining  bool                      `json:"draining"`
-	// ShedRate is shed / (admitted + shed) since start — the fraction of
-	// data-plane arrivals refused for overload.
-	ShedRate float64 `json:"shed_rate"`
-}
-
-func (s *Server) resilienceStats() ResilienceStats {
-	adm := s.adm.Stats()
-	rs := ResilienceStats{
-		Admission: adm,
-		Ladder:    s.ladder.Stats(),
-		Draining:  s.draining.Load(),
-	}
-	if total := adm.Admitted + adm.Shed(); total > 0 {
-		rs.ShedRate = float64(adm.Shed()) / float64(total)
-	}
-	return rs
-}
-
 // readyzResponse is the body of GET /readyz.
 type readyzResponse struct {
 	Status           string `json:"status"` // "ready" or "draining"
@@ -152,18 +129,15 @@ type quarantineEntry struct {
 	resilience.QuarantineEntry
 }
 
-// quarantineResponse is the body of GET /quarantine.
+// quarantineResponse is the body of GET /quarantine. The register's
+// counters are the sqo_quarantine_* families on /metrics.
 type quarantineResponse struct {
-	Stats   resilience.QuarantineStats `json:"stats"`
-	Entries []quarantineEntry          `json:"entries"`
+	Entries []quarantineEntry `json:"entries"`
 }
 
 func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 	ents := s.eng.QuarantineEntries()
-	resp := quarantineResponse{
-		Stats:   s.eng.Stats().Quarantine,
-		Entries: make([]quarantineEntry, len(ents)),
-	}
+	resp := quarantineResponse{Entries: make([]quarantineEntry, len(ents))}
 	for i, e := range ents {
 		resp.Entries[i] = quarantineEntry{
 			Fingerprint:     fmt.Sprintf("%016x%016x", e.Key[0], e.Key[1]),

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -29,7 +30,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestAdmissionShedsQueueFull saturates a 1-slot / 1-queue admission
 // controller and checks the next arrival is refused with 429 + Retry-After,
-// and that the limits and shed counters surface in /stats.
+// and that the limits and shed counters surface in /metrics.
 func TestAdmissionShedsQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, MonitorInterval: -1})
 
@@ -66,24 +67,19 @@ func TestAdmissionShedsQueueFull(t *testing.T) {
 		t.Fatalf("shed error = %q, want queue_full reason", eresp.Error)
 	}
 
-	// The configured limits and the shed show up in /stats.
-	sresp, sraw := postGet(t, ts.URL+"/stats")
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status = %d", sresp.StatusCode)
+	// The configured limits and the shed show up in /metrics; the shed
+	// rate is shed ÷ (admitted + shed).
+	m := scrape(t, ts.URL)
+	if c, q := m(`sqo_admission_limit{kind="concurrent"}`), m(`sqo_admission_limit{kind="queue"}`); c != 1 || q != 1 {
+		t.Fatalf("admission limits = %v/%v, want 1/1", c, q)
 	}
-	var stats StatsResponse
-	if err := json.Unmarshal(sraw, &stats); err != nil {
-		t.Fatal(err)
+	shedFull := m(`sqo_admission_shed_total{reason="queue_full"}`)
+	if shedFull != 1 {
+		t.Fatalf("queue_full sheds = %v, want 1", shedFull)
 	}
-	adm := stats.Resilience.Admission
-	if adm.MaxConcurrent != 1 || adm.MaxQueue != 1 {
-		t.Fatalf("stats limits = %d/%d, want 1/1", adm.MaxConcurrent, adm.MaxQueue)
-	}
-	if adm.ShedQueueFull != 1 {
-		t.Fatalf("ShedQueueFull = %d, want 1", adm.ShedQueueFull)
-	}
-	if stats.Resilience.ShedRate <= 0 {
-		t.Fatalf("ShedRate = %v, want > 0", stats.Resilience.ShedRate)
+	shed := shedFull + m(`sqo_admission_shed_total{reason="deadline"}`)
+	if rate := shed / (m("sqo_admission_admitted_total") + shed); rate <= 0 {
+		t.Fatalf("shed rate = %v, want > 0", rate)
 	}
 
 	qcancel()
@@ -217,12 +213,19 @@ func TestQuarantineEndpoints(t *testing.T) {
 	if qresp.StatusCode != http.StatusOK {
 		t.Fatalf("quarantine status = %d", qresp.StatusCode)
 	}
+	// The register lists entries only; its counters are on /metrics.
 	var reg quarantineResponse
-	if err := json.Unmarshal(qraw, &reg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(qraw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&reg); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Stats.Quarantined != 1 || reg.Stats.Blocked != 1 {
-		t.Fatalf("quarantine stats = %+v, want 1 quarantined / 1 blocked", reg.Stats)
+	m := scrape(t, ts.URL)
+	if q, b := m("sqo_quarantine_quarantined_total"), m("sqo_quarantine_blocked_total"); q != 1 || b != 1 {
+		t.Fatalf("quarantine series = %v quarantined / %v blocked, want 1 / 1", q, b)
+	}
+	if strikes := m("sqo_quarantine_strikes_total"); strikes != 2 {
+		t.Fatalf("sqo_quarantine_strikes_total = %v, want 2", strikes)
 	}
 	if len(reg.Entries) != 1 || !reg.Entries[0].Active || reg.Entries[0].Strikes != 2 {
 		t.Fatalf("quarantine entries = %+v, want one active 2-strike entry", reg.Entries)

@@ -89,9 +89,10 @@ type Config struct {
 //	POST /catalog/update  — apply an incremental catalog delta
 //	GET  /healthz         — liveness (the process is up and serving HTTP)
 //	GET  /readyz          — readiness (take traffic? false while draining)
-//	GET  /stats           — engine counters + per-endpoint latency
 //	GET  /quarantine      — the poison-query register
 //	POST /quarantine/reset — clear the register
+//	GET  /metrics         — every counter, OpenMetrics text
+//	GET  /trace/{id}, /traces — pipeline traces
 //
 // Data-plane requests pass an admission controller (bounded concurrency +
 // bounded queue, deadline-aware shedding with 429 + Retry-After), and a
@@ -124,7 +125,6 @@ type Server struct {
 	queryM    *endpointMetrics
 	swapM     *endpointMetrics
 	updateM   *endpointMetrics
-	statsM    *endpointMetrics
 }
 
 // endpointMetrics is one endpoint's request counters and latency histogram.
@@ -170,7 +170,6 @@ func New(cfg Config) (*Server, error) {
 		queryM:    &endpointMetrics{},
 		swapM:     &endpointMetrics{},
 		updateM:   &endpointMetrics{},
-		statsM:    &endpointMetrics{},
 	}
 	s.tracer = obs.NewTracer(obs.TracerConfig{
 		SampleN:       cfg.TraceSample,
@@ -186,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /catalog/update", s.instrument(s.updateM, s.handleCatalogUpdate))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /stats", s.instrument(s.statsM, s.handleStats))
 	s.mux.HandleFunc("GET /quarantine", s.handleQuarantine)
 	s.mux.HandleFunc("POST /quarantine/reset", s.handleQuarantineReset)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -236,7 +234,8 @@ type OptimizeRequest struct {
 // OptimizeResponse reports one optimization. DurationUS is the
 // optimization's own measured duration (retrieval + transformation +
 // formulation, from Result.Stats) — a cache hit reports the cost of the
-// original computation; request service latency lives in /stats.
+// original computation; request service latency lives in /metrics
+// (sqo_request_duration_seconds).
 type OptimizeResponse struct {
 	Optimized           string `json:"optimized"`
 	EmptyResult         bool   `json:"empty_result,omitempty"`
@@ -320,24 +319,6 @@ type UpdateResponse struct {
 	Incremental   bool   `json:"incremental"`
 	CachePurged   int    `json:"cache_purged"`
 	CacheSurvived int    `json:"cache_survived"`
-}
-
-// EndpointStats is one endpoint's counters for GET /stats. Requests and
-// Errors count completed requests; InFlight is the number currently inside
-// the handler.
-type EndpointStats struct {
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-	InFlight int64 `json:"in_flight"`
-	HistogramSnapshot
-}
-
-// StatsResponse is the body of GET /stats.
-type StatsResponse struct {
-	UptimeS    float64                  `json:"uptime_s"`
-	Engine     sqo.EngineStats          `json:"engine"`
-	Resilience ResilienceStats          `json:"resilience"`
-	Endpoints  map[string]EndpointStats `json:"endpoints"`
 }
 
 type errorResponse struct {
@@ -576,23 +557,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
-		UptimeS:    time.Since(s.start).Seconds(),
-		Engine:     s.eng.Stats(),
-		Resilience: s.resilienceStats(),
-		Endpoints: map[string]EndpointStats{
-			"/optimize":       s.optimizeM.snapshot(),
-			"/optimize/batch": s.batchM.snapshot(),
-			"/query":          s.queryM.snapshot(),
-			"/catalog/swap":   s.swapM.snapshot(),
-			"/catalog/update": s.updateM.snapshot(),
-			"/stats":          s.statsM.snapshot(),
-		},
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // --- plumbing -------------------------------------------------------------
 
 // instrument wraps a handler with request counting, latency recording and
@@ -629,15 +593,6 @@ func (s *Server) instrument(m *endpointMetrics, h http.HandlerFunc) http.Handler
 		} else {
 			m.hist.observe(us)
 		}
-	}
-}
-
-func (m *endpointMetrics) snapshot() EndpointStats {
-	return EndpointStats{
-		Requests:          m.requests.Load(),
-		Errors:            m.errors.Load(),
-		InFlight:          m.inflight.Load(),
-		HistogramSnapshot: m.hist.snapshot(),
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +76,37 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, raw
+}
+
+// scrape reads GET /metrics once and returns a lookup of its samples by
+// series: the name with its braced labels, exactly as rendered. Looking up
+// a series the scrape lacks fails the test.
+func scrape(t *testing.T, base string) func(series string) float64 {
+	t.Helper()
+	resp, raw := postGet(t, base+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status = %d", resp.StatusCode)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 || fields[0] == "#" {
+			continue
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		samples[fields[0]] = v
+	}
+	return func(series string) float64 {
+		t.Helper()
+		v, ok := samples[series]
+		if !ok {
+			t.Fatalf("/metrics has no series %s", series)
+		}
+		return v
+	}
 }
 
 func TestServerRequiresEngine(t *testing.T) {
@@ -220,9 +253,52 @@ func TestCatalogSwapEndpoint(t *testing.T) {
 	if got := eng.Stats().Epoch; got != 1 {
 		t.Fatalf("epoch after failed swap = %d, want 1", got)
 	}
+
+	// The text form carries every field a swap compares, Doc included, so
+	// swapping the rendered logistics catalog (17 documented rules) into an
+	// engine that serves it changes nothing: the epoch stays 0 and the
+	// cached result keeps hitting.
+	eng, err := sqo.NewEngine(sqo.LogisticsSchema(),
+		sqo.WithCatalog(sqo.LogisticsConstraints()), sqo.WithCache(sqo.CacheConfig{Capacity: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts = newTestServer(t, Config{Engine: eng})
+	optimize := func() {
+		t.Helper()
+		if resp, raw := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Query: testQueryText}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("optimize status = %d, body %s", resp.StatusCode, raw)
+		}
+	}
+	optimize()
+
+	lines = lines[:0]
+	for _, c := range eng.Catalog().All() {
+		lines = append(lines, c.String())
+	}
+	resp, raw := postJSON(t, ts.URL+"/catalog/swap", SwapRequest{Catalog: strings.Join(lines, "\n")})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("swap status = %d, body %s", resp.StatusCode, raw)
+	}
+	var out SwapResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Epoch != 0 || out.Constraints != sqo.LogisticsConstraints().Len() {
+		t.Fatalf("swap of the served catalog = %+v, want epoch 0 and %d constraints", out, sqo.LogisticsConstraints().Len())
+	}
+	optimize()
+	m := scrape(t, ts.URL)
+	if hits, misses := m(`sqo_cache_hits_total{tier="exact"}`), m("sqo_cache_misses_total"); hits != 1 || misses != 1 {
+		t.Fatalf("after the swap: %v hits / %v misses, want the cached entry to hit (1 / 1)", hits, misses)
+	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
+// TestEndpointCounters: each request lands in its endpoint's request,
+// error and latency series, and the engine's counters ride the same
+// scrape. /metrics is the only counter surface: GET /stats is gone and a
+// POST to /metrics is refused.
+func TestEndpointCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for i := 0; i < 3; i++ {
 		if resp, raw := postJSON(t, ts.URL+"/optimize", OptimizeRequest{Query: testQueryText}); resp.StatusCode != http.StatusOK {
@@ -231,32 +307,41 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/optimize", OptimizeRequest{Query: "(bad"})
 
-	resp, raw := postJSON(t, ts.URL+"/stats", nil)
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /stats status = %d, want 405", resp.StatusCode)
+	if resp, _ := postJSON(t, ts.URL+"/metrics", nil); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /metrics status = %d, want 405", resp.StatusCode)
 	}
-	getResp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	if resp, _ := postGet(t, ts.URL+"/stats"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats status = %d, want 404", resp.StatusCode)
 	}
-	raw, err = io.ReadAll(getResp.Body)
-	getResp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, ts.URL)
+	const ep = `{endpoint="/optimize"}`
+	if req, errs := m("sqo_requests_total"+ep), m("sqo_request_errors_total"+ep); req != 4 || errs != 1 {
+		t.Fatalf("/optimize series = %v requests / %v errors, want 4 / 1", req, errs)
 	}
-	var out StatsResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
+	// The latency histogram counts all four, and the max lies in the
+	// bucket that holds the slowest of them: above the lower edge of the
+	// median's bucket, at most the bound of the first bucket holding all.
+	n := m("sqo_request_duration_seconds_count" + ep)
+	if n != 4 {
+		t.Fatalf("latency count = %v, want 4", n)
 	}
-	ep := out.Endpoints["/optimize"]
-	if ep.Requests != 4 || ep.Errors != 1 {
-		t.Fatalf("/optimize stats = %+v, want 4 requests / 1 error", ep)
+	maxS := m("sqo_request_duration_max_seconds" + ep)
+	var medianLE, topLE float64
+	for i := 0; i < expoBuckets && topLE == 0; i++ {
+		le := float64(int64(1)<<i) / 1e6
+		cum := m(fmt.Sprintf(`sqo_request_duration_seconds_bucket{endpoint="/optimize",le="%s"}`, strconv.FormatFloat(le, 'g', -1, 64)))
+		if medianLE == 0 && cum >= n/2 {
+			medianLE = le
+		}
+		if cum == n {
+			topLE = le
+		}
 	}
-	if ep.Count != 4 || ep.MaxUS < ep.P50US {
-		t.Fatalf("latency snapshot inconsistent: %+v", ep)
+	if topLE == 0 || maxS < medianLE/2 || maxS > topLE {
+		t.Fatalf("latency max %vs inconsistent with buckets (median bucket le %v, all by le %v)", maxS, medianLE, topLE)
 	}
-	if out.Engine.Optimizations == 0 {
-		t.Fatalf("engine stats missing optimizations: %+v", out.Engine)
+	if m("sqo_optimizations_total") == 0 {
+		t.Fatal("engine series carry no optimizations")
 	}
 }
 
@@ -419,26 +504,14 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Errorf("raw run returned %d rows, optimized %d", rawOut.RowCount, out.RowCount)
 	}
 
-	// Both requests land in the endpoint's own latency row and the engine's
+	// Both requests land in the endpoint's own series and the engine's
 	// execution counters.
-	getResp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, ts.URL)
+	if req, errs := m(`sqo_requests_total{endpoint="/query"}`), m(`sqo_request_errors_total{endpoint="/query"}`); req != 2 || errs != 0 {
+		t.Errorf("/query series = %v requests / %v errors, want 2 / 0", req, errs)
 	}
-	raw, err = io.ReadAll(getResp.Body)
-	getResp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if ep := st.Endpoints["/query"]; ep.Requests != 2 || ep.Errors != 0 {
-		t.Errorf("/query stats = %+v, want 2 requests / 0 errors", ep)
-	}
-	if st.Engine.Executions != 2 || st.Engine.ExecTuplesScanned == 0 {
-		t.Errorf("engine execution counters = %+v, want 2 executions with tuples", st.Engine)
+	if execs, tuples := m("sqo_executions_total"), m(`sqo_exec_storage_ops_total{kind="tuples_scanned"}`); execs != 2 || tuples == 0 {
+		t.Errorf("execution series = %v executions / %v tuples, want 2 executions with tuples", execs, tuples)
 	}
 }
 

@@ -56,25 +56,14 @@ func TestCatalogUpdateEndpoint(t *testing.T) {
 		t.Fatalf("remove: status %d: %s", resp.StatusCode, raw)
 	}
 
-	// Per-endpoint latency row present in /stats.
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// The endpoint's own series and the engine's update counter.
+	m := scrape(t, ts.URL)
+	const ep = `{endpoint="/catalog/update"}`
+	if req, errs := m("sqo_requests_total"+ep), m("sqo_request_errors_total"+ep); req != 3 || errs != 0 {
+		t.Fatalf("/catalog/update series = %v requests / %v errors, want 3 / 0", req, errs)
 	}
-	defer sresp.Body.Close()
-	var stats StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	row, ok := stats.Endpoints["/catalog/update"]
-	if !ok {
-		t.Fatal("/stats carries no /catalog/update endpoint row")
-	}
-	if row.Requests != 3 || row.Errors != 0 {
-		t.Fatalf("endpoint row = %+v, want 3 requests, 0 errors", row)
-	}
-	if stats.Engine.CatalogUpdates != 3 {
-		t.Fatalf("engine CatalogUpdates = %d, want 3", stats.Engine.CatalogUpdates)
+	if n := m("sqo_catalog_updates_total"); n != 3 {
+		t.Fatalf("sqo_catalog_updates_total = %v, want 3", n)
 	}
 }
 
@@ -98,17 +87,9 @@ func TestCatalogUpdateEndpointErrors(t *testing.T) {
 		}
 	}
 	// None of the failures may have advanced the engine.
-	sresp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var stats StatsResponse
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Engine.Epoch != 0 || stats.Engine.CatalogUpdates != 0 {
-		t.Fatalf("failed updates disturbed the engine: %+v", stats.Engine)
+	m := scrape(t, ts.URL)
+	if epoch, n := m("sqo_catalog_epoch"), m("sqo_catalog_updates_total"); epoch != 0 || n != 0 {
+		t.Fatalf("failed updates disturbed the engine: epoch %v, %v updates", epoch, n)
 	}
 }
 

@@ -61,7 +61,12 @@ func String(s string) Value { return Value{kind: KindString, s: s} }
 func Int(i int64) Value { return Value{kind: KindInt, i: i} }
 
 // Float returns a Value of KindFloat.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value {
+	if f == 0 {
+		f = 0 // -0 compares equal to 0, so it must share 0's Key and rendering
+	}
+	return Value{kind: KindFloat, f: f}
+}
 
 // Bool returns a Value of KindBool.
 func Bool(b bool) Value { return Value{kind: KindBool, b: b} }

@@ -56,11 +56,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqo: reading snapshot: %w", err)
 	}
-	m, info, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{model: m, info: info}, nil
+	return decodeSnapshot(data)
 }
 
 // LoadSnapshot reads and decodes a snapshot file.
@@ -69,9 +65,18 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, info, err := snapshot.Decode(data)
+	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap, nil
+}
+
+// decodeSnapshot decodes one snapshot file's bytes (checksums verified).
+func decodeSnapshot(data []byte) (*Snapshot, error) {
+	m, info, err := snapshot.Decode(data)
+	if err != nil {
+		return nil, err
 	}
 	return &Snapshot{model: m, info: info}, nil
 }

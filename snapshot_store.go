@@ -179,13 +179,7 @@ func (s *SnapshotStore) tryWarm(sch *Schema, opts []EngineOption) (*Engine, Boot
 	if info, err := snapshot.ReadInfo(snapData); err == nil && info.Seq > s.seq {
 		s.seq = info.Seq
 	}
-	snap, err := func() (*Snapshot, error) {
-		m, info, err := snapshot.Decode(snapData)
-		if err != nil {
-			return nil, err
-		}
-		return &Snapshot{model: m, info: info}, nil
-	}()
+	snap, err := decodeSnapshot(snapData)
 	if err != nil {
 		return refuse("snapshot unreadable: %v", err)
 	}

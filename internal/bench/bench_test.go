@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,6 +117,35 @@ func TestTable42Shape(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", out)
+}
+
+// TestTable42Totals pins the physical work behind Table 4.2: the summed
+// metered cost of the 40 original and optimized queries on each database.
+// TestTable42Shape checks only ranges, so a change to the cost-plan path's
+// meters (a different plan, an extra fetch, a lost filter) would move the
+// histogram silently; these sums move with any of them.
+func TestTable42Totals(t *testing.T) {
+	res, err := RunTable42(40, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]string{
+		"DB1": {"1707.35", "1470.35"},
+		"DB2": {"4170.67", "4166.21"},
+		"DB3": {"7548.13", "7366.43"},
+		"DB4": {"19963.33", "18478.41"},
+	}
+	for db, w := range want {
+		var orig, opt float64
+		for _, o := range res.Outcomes[db] {
+			orig += o.OriginalCost
+			opt += o.OptimizedCost
+		}
+		got := [2]string{fmt.Sprintf("%.2f", orig), fmt.Sprintf("%.2f", opt)}
+		if got != w {
+			t.Errorf("%s: original/optimized cost = %s/%s, want %s/%s", db, got[0], got[1], w[0], w[1])
+		}
+	}
 }
 
 func TestGroupingAblation(t *testing.T) {

@@ -44,6 +44,11 @@ func FuzzParse(f *testing.F) {
 		"0:->0.0 = !.0",
 		"0:->A.0 = !0.\"",
 		"0:->A.0 = -.0", // negative zero renders as -0, which reads as Int(0)
+		// Constants spelled without a raw quote or arrow that render with
+		// one: an escaped quote before a separator, and the arrow itself.
+		`k: a.x = "q\u0022∧" -> c.z = 1`,
+		`k: a.x = "x\u0022[y" [r] -> c.z = 1`,
+		`k: a.x = "p-\u003eq" -> c.z = 1`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"sqo/internal/predicate"
 	"sqo/internal/value"
@@ -67,8 +68,15 @@ func parseLine(line string) (*Constraint, error) {
 	}
 	rest = strings.TrimSpace(rest[colon+1:])
 
-	// Split on the implication arrow.
-	arrow := strings.Index(rest, "->")
+	// Split on the first implication arrow outside string literals.
+	arrow := -1
+	eachUnquoted(rest, func(i int, r rune) bool {
+		if r == '-' && strings.HasPrefix(rest[i:], "->") {
+			arrow = i
+			return false
+		}
+		return true
+	})
 	if arrow < 0 {
 		return nil, fmt.Errorf("missing '->'")
 	}
@@ -131,20 +139,40 @@ func parseLine(line string) (*Constraint, error) {
 	return c, nil
 }
 
+// eachUnquoted calls fn with the byte offset of every rune of s that lies
+// outside a string literal, until fn returns false. Quotes themselves are
+// not reported, and a backslash inside a literal escapes the next rune, so
+// an escaped quote does not end the literal. Every split the parser makes —
+// the arrow, the link list, the antecedent separators, the tokens — goes
+// through this one scan, so a literal may hold any of them.
+func eachUnquoted(s string, fn func(i int, r rune) bool) {
+	inString, escaped := false, false
+	for i, r := range s {
+		switch {
+		case escaped:
+			escaped = false
+		case inString && r == '\\':
+			escaped = true
+		case r == '"':
+			inString = !inString
+		case !inString && !fn(i, r):
+			return
+		}
+	}
+}
+
 // findLinkList locates the last '[' … ']' pair outside string literals.
 func findLinkList(body string) (open, close int, found bool, err error) {
 	open, close = -1, -1
-	inString := false
-	for i, r := range body {
-		switch {
-		case r == '"':
-			inString = !inString
-		case !inString && r == '[':
+	eachUnquoted(body, func(i int, r rune) bool {
+		switch r {
+		case '[':
 			open, close = i, -1
-		case !inString && r == ']':
+		case ']':
 			close = i
 		}
-	}
+		return true
+	})
 	if open < 0 {
 		return 0, 0, false, nil
 	}
@@ -157,23 +185,15 @@ func findLinkList(body string) (open, close int, found bool, err error) {
 // splitAnd splits on "∧" or "&" outside of string literals.
 func splitAnd(s string) []string {
 	var parts []string
-	var cur strings.Builder
-	inString := false
-	runes := []rune(s)
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		switch {
-		case r == '"':
-			inString = !inString
-			cur.WriteRune(r)
-		case !inString && (r == '∧' || r == '&'):
-			parts = append(parts, strings.TrimSpace(cur.String()))
-			cur.Reset()
-		default:
-			cur.WriteRune(r)
+	start := 0
+	eachUnquoted(s, func(i int, r rune) bool {
+		if r == '∧' || r == '&' {
+			parts = append(parts, strings.TrimSpace(s[start:i]))
+			start = i + utf8.RuneLen(r)
 		}
-	}
-	if t := strings.TrimSpace(cur.String()); t != "" {
+		return true
+	})
+	if t := strings.TrimSpace(s[start:]); t != "" {
 		parts = append(parts, t)
 	}
 	return parts
@@ -216,36 +236,22 @@ func predicateOf(fields []string) (predicate.Predicate, error) {
 }
 
 // tokenizePredicate splits "lhs op rhs" on whitespace outside quoted
-// strings; a backslash inside a string escapes the next rune, so a quoted
-// literal may hold '"'.
+// strings, so a quoted literal may hold spaces and escaped quotes.
 func tokenizePredicate(s string) []string {
 	var out []string
-	var cur strings.Builder
-	inString, escaped := false, false
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+	start := 0
+	eachUnquoted(s, func(i int, r rune) bool {
+		if unicode.IsSpace(r) {
+			if i > start {
+				out = append(out, s[start:i])
+			}
+			start = i + utf8.RuneLen(r)
 		}
+		return true
+	})
+	if start < len(s) {
+		out = append(out, s[start:])
 	}
-	for _, r := range s {
-		switch {
-		case escaped:
-			escaped = false
-			cur.WriteRune(r)
-		case inString && r == '\\':
-			escaped = true
-			cur.WriteRune(r)
-		case r == '"':
-			inString = !inString
-			cur.WriteRune(r)
-		case !inString && unicode.IsSpace(r):
-			flush()
-		default:
-			cur.WriteRune(r)
-		}
-	}
-	flush()
 	return out
 }
 

@@ -1,7 +1,15 @@
 // Package engine executes queries against the storage substrate: a greedy
-// pointer-traversal planner plus a pipelined executor that meters simulated
-// physical work (pages, object fetches, index probes, link traversals,
-// predicate evaluations).
+// pointer-traversal planner plus the pipelined run loop that meters
+// simulated physical work (pages, object fetches, index probes, link
+// traversals, predicate evaluations).
+//
+// There is one runner and two planning policies. RunPlan is the only code
+// that runs a plan: selective predicates are pushed into the access layer
+// (index probes, filtering inside the extent scan), joins run as pointer
+// traversals, and every physical event lands in the result's Meter. Plan
+// prices seeds with the 1991 disk model and is what Execute and the Table
+// 4.2 harness use; PlanExamined minimizes examined instances and is what
+// internal/exec serves with. Both hand their plan to the same loop.
 //
 // The engine stands in for the DBMS the paper ran its 40 query pairs on.
 // Costs are deterministic functions of the data and the plan, so the
@@ -124,9 +132,15 @@ type Row struct {
 
 // Result is the outcome of executing one query.
 type Result struct {
-	Rows  []Row
+	// Rows are the projected result tuples, in plan order.
+	Rows []Row
+	// Meter is the physical work of this execution alone.
 	Meter storage.Meter
-	Plan  *Plan
+	// Plan is the access plan that ran.
+	Plan *Plan
+	// TuplesScanned counts the instances the run examined — every instance
+	// surfaced by a scan, index fetch, or traversal, before filtering.
+	TuplesScanned int64
 }
 
 // Cost prices the result's meter with the given weights.
@@ -170,7 +184,7 @@ func (e *Executor) Execute(q *query.Query) (*Result, error) {
 }
 
 // ExecuteContext is Execute with cancellation: the context is checked every
-// checkEvery instances inside the scan and join loops, matching the
+// checkEvery examined instances inside the run loop, matching the
 // optimizer's OptimizeContext pattern, so a cancelled or expired context
 // abandons a long-running execution promptly and returns ctx.Err().
 func (e *Executor) ExecuteContext(ctx context.Context, q *query.Query) (*Result, error) {

@@ -10,14 +10,23 @@ import (
 	"sqo/internal/value"
 )
 
-// binding is one partial tuple during pipelined execution: the bound
-// instance per plan-step position.
-type binding []storage.Instance
-
-// checkEvery is how many instances pass between context checks inside
-// RunContext's loops — frequent enough that cancellation cuts in promptly,
-// rare enough that the check never shows up in a profile.
+// checkEvery is how many examined instances pass between context checks —
+// frequent enough that cancellation cuts in promptly, rare enough that the
+// check never shows up in a profile.
 const checkEvery = 1024
+
+// Store is the read surface the run loop drives: exactly the five database
+// methods an executing plan touches. *storage.Database satisfies it
+// directly; the fault-injection harness satisfies it with a wrapper that
+// interposes on each call. Planning always sees the concrete database (the
+// planner needs its statistics), so a wrapper perturbs execution only.
+type Store interface {
+	Scan(class string, m *storage.Meter, fn func(storage.Instance) bool) error
+	Get(class string, oid storage.OID, m *storage.Meter) (storage.Instance, error)
+	IndexLookup(class, attr string, op storage.IndexOp, v value.Value, m *storage.Meter) ([]storage.OID, error)
+	Traverse(rel string, from string, oid storage.OID, m *storage.Meter) ([]storage.OID, error)
+	AttrIndexOf(class, attr string) (int, error)
+}
 
 // Run executes a previously built plan. The plan must belong to the query
 // (Execute guarantees that; tests may build plans directly).
@@ -25,115 +34,205 @@ func (e *Executor) Run(q *query.Query, plan *Plan) (*Result, error) {
 	return e.RunContext(context.Background(), q, plan)
 }
 
-// RunContext is Run with cancellation, checked every checkEvery instances.
+// RunContext is Run with cancellation, checked every checkEvery examined
+// instances.
 func (e *Executor) RunContext(ctx context.Context, q *query.Query, plan *Plan) (*Result, error) {
-	res := &Result{Plan: plan}
-	m := &res.Meter
-	var seen int64
-	tick := func() error {
-		if seen++; seen%checkEvery == 0 {
-			return ctx.Err()
-		}
-		return nil
+	res := &Result{}
+	if err := RunPlan(ctx, e.db, q, plan, res); err != nil {
+		return nil, err
 	}
+	return res, nil
+}
 
+// binding is one partial tuple: the bound instance per plan-step position.
+type binding []storage.Instance
+
+// compiledFilter is one pushed-down selective predicate with its attribute
+// offset resolved.
+type compiledFilter struct {
+	pred predicate.Predicate
+	attr int
+}
+
+// compiledJoin is one join predicate with both operand positions resolved.
+type compiledJoin struct {
+	pred     predicate.Predicate
+	lpos, la int
+	rpos, ra int
+}
+
+// compiledPlan is the plan with every name resolved to an offset, so the run
+// loop does no map lookups per instance.
+type compiledPlan struct {
+	filters [][]compiledFilter
+	joins   [][]compiledJoin
+	proj    []struct{ pos, attr int }
+}
+
+func compile(s Store, q *query.Query, plan *Plan) (*compiledPlan, map[string]int, error) {
 	classPos := map[string]int{}
 	for i, st := range plan.Steps {
 		classPos[st.Class] = i
 	}
+	cp := &compiledPlan{
+		filters: make([][]compiledFilter, len(plan.Steps)),
+		joins:   make([][]compiledJoin, len(plan.Steps)),
+	}
+	for i, st := range plan.Steps {
+		for _, p := range st.Filters {
+			ai, err := s.AttrIndexOf(st.Class, p.Left.Attr)
+			if err != nil {
+				return nil, nil, err
+			}
+			cp.filters[i] = append(cp.filters[i], compiledFilter{pred: p, attr: ai})
+		}
+		for _, j := range st.Joins {
+			lpos, ok := classPos[j.Left.Class]
+			if !ok {
+				return nil, nil, fmt.Errorf("engine: join %s references unplanned class", j)
+			}
+			rpos, ok := classPos[j.RightAttr.Class]
+			if !ok {
+				return nil, nil, fmt.Errorf("engine: join %s references unplanned class", j)
+			}
+			la, err := s.AttrIndexOf(j.Left.Class, j.Left.Attr)
+			if err != nil {
+				return nil, nil, err
+			}
+			ra, err := s.AttrIndexOf(j.RightAttr.Class, j.RightAttr.Attr)
+			if err != nil {
+				return nil, nil, err
+			}
+			cp.joins[i] = append(cp.joins[i], compiledJoin{pred: j, lpos: lpos, la: la, rpos: rpos, ra: ra})
+		}
+	}
+	cp.proj = make([]struct{ pos, attr int }, len(q.Project))
+	for i, a := range q.Project {
+		pos, ok := classPos[a.Class]
+		if !ok {
+			return nil, nil, fmt.Errorf("engine: projection %s references unplanned class", a)
+		}
+		ai, err := s.AttrIndexOf(a.Class, a.Attr)
+		if err != nil {
+			return nil, nil, err
+		}
+		cp.proj[i] = struct{ pos, attr int }{pos, ai}
+	}
+	return cp, classPos, nil
+}
 
-	// Pre-resolve attribute positions for every predicate.
-	filterEval, err := e.compileFilters(plan)
+// RunPlan executes a plan of q as a pipeline over s, filling res (which the
+// caller allocates, so a wrapper result can embed it). Filters are evaluated
+// the moment an instance surfaces — a failing instance never becomes a
+// binding — joins are checked at the first step that binds both sides, and
+// the context is checked every checkEvery examined instances. This is the
+// only loop that runs a plan; Plan and PlanExamined differ only in the plan
+// they hand it.
+func RunPlan(ctx context.Context, s Store, q *query.Query, plan *Plan, res *Result) error {
+	cp, classPos, err := compile(s, q, plan)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	res.Plan = plan
+	m := &res.Meter
+
+	// admit examines one surfaced instance: count it, filter it, and turn
+	// survivors into bindings. It returns false only on cancellation.
+	var ctxErr error
+	admit := func(stepIdx int, inst storage.Instance, from binding, next *[]binding) bool {
+		res.TuplesScanned++
+		if res.TuplesScanned%checkEvery == 0 {
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				return false
+			}
+		}
+		for _, f := range cp.filters[stepIdx] {
+			m.PredEvals++
+			if !f.pred.EvalSel(inst.Values[f.attr]) {
+				return true
+			}
+		}
+		b := make(binding, len(plan.Steps))
+		copy(b, from)
+		b[stepIdx] = inst
+		*next = append(*next, b)
+		return true
 	}
 
 	var bindings []binding
 	for stepIdx, st := range plan.Steps {
 		var next []binding
 		switch st.Access {
-		case AccessScan, AccessIndex:
-			var seed []storage.Instance
-			if st.Access == AccessScan {
-				var ctxErr error
-				err = e.db.Scan(st.Class, m, func(inst storage.Instance) bool {
-					if ctxErr = tick(); ctxErr != nil {
-						return false
-					}
-					seed = append(seed, inst)
-					return true
-				})
-				if err != nil {
-					return nil, err
-				}
-				if ctxErr != nil {
-					return nil, ctxErr
-				}
-			} else {
-				op, _ := indexOp(st.IndexPred.Op)
-				oids, err := e.db.IndexLookup(st.Class, st.IndexPred.Left.Attr, op, st.IndexPred.Const, m)
-				if err != nil {
-					return nil, err
-				}
-				for _, oid := range oids {
-					if err := tick(); err != nil {
-						return nil, err
-					}
-					inst, err := e.db.Get(st.Class, oid, m)
-					if err != nil {
-						return nil, err
-					}
-					seed = append(seed, inst)
-				}
-			}
+		case AccessScan:
 			if stepIdx != 0 {
-				return nil, fmt.Errorf("engine: non-seed %s step at position %d", st.Access, stepIdx)
+				return fmt.Errorf("engine: non-seed scan step at position %d", stepIdx)
 			}
-			for _, inst := range seed {
-				if !filterEval(stepIdx, inst, m) {
-					continue
+			err := s.Scan(st.Class, m, func(inst storage.Instance) bool {
+				return admit(stepIdx, inst, nil, &next)
+			})
+			if err != nil {
+				return err
+			}
+
+		case AccessIndex:
+			if stepIdx != 0 {
+				return fmt.Errorf("engine: non-seed index step at position %d", stepIdx)
+			}
+			op, ok := indexOp(st.IndexPred.Op)
+			if !ok {
+				return fmt.Errorf("engine: predicate %s cannot use an index", st.IndexPred)
+			}
+			oids, err := s.IndexLookup(st.Class, st.IndexPred.Left.Attr, op, st.IndexPred.Const, m)
+			if err != nil {
+				return err
+			}
+			for _, oid := range oids {
+				inst, err := s.Get(st.Class, oid, m)
+				if err != nil {
+					return err
 				}
-				b := make(binding, len(plan.Steps))
-				b[stepIdx] = inst
-				next = append(next, b)
+				if !admit(stepIdx, inst, nil, &next) {
+					break
+				}
 			}
 
 		case AccessTraverse:
 			fromPos, ok := classPos[st.FromClass]
 			if !ok || fromPos >= stepIdx {
-				return nil, fmt.Errorf("engine: step %d traverses from unbound class %q", stepIdx, st.FromClass)
+				return fmt.Errorf("engine: step %d traverses from unbound class %q", stepIdx, st.FromClass)
 			}
+		traverse:
 			for _, b := range bindings {
-				oids, err := e.db.Traverse(st.ViaRel, st.FromClass, b[fromPos].OID, m)
+				oids, err := s.Traverse(st.ViaRel, st.FromClass, b[fromPos].OID, m)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				for _, oid := range oids {
-					if err := tick(); err != nil {
-						return nil, err
-					}
-					inst, err := e.db.Get(st.Class, oid, m)
+					inst, err := s.Get(st.Class, oid, m)
 					if err != nil {
-						return nil, err
+						return err
 					}
-					if !filterEval(stepIdx, inst, m) {
-						continue
+					if !admit(stepIdx, inst, b, &next) {
+						break traverse
 					}
-					nb := make(binding, len(plan.Steps))
-					copy(nb, b)
-					nb[stepIdx] = inst
-					next = append(next, nb)
 				}
 			}
 		}
+		if ctxErr != nil {
+			return ctxErr
+		}
 
 		// Join predicates that became checkable at this step.
-		if len(st.Joins) > 0 {
+		if len(cp.joins[stepIdx]) > 0 {
 			joined := next[:0]
 			for _, b := range next {
-				ok, err := e.evalJoins(st.Joins, classPos, b, m)
-				if err != nil {
-					return nil, err
+				ok := true
+				for _, j := range cp.joins[stepIdx] {
+					m.PredEvals++
+					if !j.pred.EvalJoin(b[j.lpos].Values[j.la], b[j.rpos].Values[j.ra]) {
+						ok = false
+						break
+					}
 				}
 				if ok {
 					joined = append(joined, b)
@@ -142,89 +241,14 @@ func (e *Executor) RunContext(ctx context.Context, q *query.Query, plan *Plan) (
 			next = joined
 		}
 		bindings = next
-		if len(bindings) == 0 && stepIdx < len(plan.Steps)-1 {
-			// Nothing survives; later steps would do no work anyway.
-			bindings = nil
-		}
 	}
 
-	// Projection.
-	proj := make([]struct {
-		pos  int
-		attr int
-	}, len(q.Project))
-	for i, a := range q.Project {
-		pos, ok := classPos[a.Class]
-		if !ok {
-			return nil, fmt.Errorf("engine: projection %s references unplanned class", a)
-		}
-		ai, err := e.db.AttrIndexOf(a.Class, a.Attr)
-		if err != nil {
-			return nil, err
-		}
-		proj[i] = struct{ pos, attr int }{pos, ai}
-	}
 	for _, b := range bindings {
-		row := Row{Values: make([]value.Value, len(proj))}
-		for i, pr := range proj {
+		row := Row{Values: make([]value.Value, len(cp.proj))}
+		for i, pr := range cp.proj {
 			row.Values[i] = b[pr.pos].Values[pr.attr]
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
-}
-
-// compileFilters resolves the attribute offsets of each step's selective
-// predicates once and returns an evaluator.
-func (e *Executor) compileFilters(plan *Plan) (func(step int, inst storage.Instance, m *storage.Meter) bool, error) {
-	type compiled struct {
-		pred predicate.Predicate
-		attr int
-	}
-	table := make([][]compiled, len(plan.Steps))
-	for i, st := range plan.Steps {
-		for _, p := range st.Filters {
-			ai, err := e.db.AttrIndexOf(st.Class, p.Left.Attr)
-			if err != nil {
-				return nil, err
-			}
-			table[i] = append(table[i], compiled{pred: p, attr: ai})
-		}
-	}
-	return func(step int, inst storage.Instance, m *storage.Meter) bool {
-		for _, c := range table[step] {
-			m.PredEvals++
-			if !c.pred.EvalSel(inst.Values[c.attr]) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// evalJoins checks the given join predicates against a full binding.
-func (e *Executor) evalJoins(joins []predicate.Predicate, classPos map[string]int, b binding, m *storage.Meter) (bool, error) {
-	for _, j := range joins {
-		lp, ok := classPos[j.Left.Class]
-		if !ok {
-			return false, fmt.Errorf("engine: join %s references unplanned class", j)
-		}
-		rp, ok := classPos[j.RightAttr.Class]
-		if !ok {
-			return false, fmt.Errorf("engine: join %s references unplanned class", j)
-		}
-		la, err := e.db.AttrIndexOf(j.Left.Class, j.Left.Attr)
-		if err != nil {
-			return false, err
-		}
-		ra, err := e.db.AttrIndexOf(j.RightAttr.Class, j.RightAttr.Attr)
-		if err != nil {
-			return false, err
-		}
-		m.PredEvals++
-		if !j.EvalJoin(b[lp].Values[la], b[rp].Values[ra]) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return nil
 }

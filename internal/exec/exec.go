@@ -7,14 +7,12 @@
 // OODB pointer traversals, and every physical event lands in a per-query
 // storage.Meter so the I/O payoff of Table 4.2 is measured, not estimated.
 //
-// Planning is shared with internal/engine (the greedy pointer-traversal
-// planner), so the plan the cost model priced is the plan that runs. The run
-// loop here differs from engine.Run in three ways that matter for serving:
-// instances that fail a pushed-down filter are discarded inside the scan
-// callback without ever becoming a binding, execution honors context
-// cancellation (checked every checkEvery instances, mirroring
-// core.OptimizeContext), and the result carries TuplesScanned — the count of
-// instances the run examined, the denominator of the paper's payoff claim.
+// There is one plan runner, engine.RunPlan, and two planning policies.
+// engine.Executor.Execute runs the cost-optimal engine.Plan (the Table 4.2
+// harness); this package serves with engine.PlanExamined and wraps the same
+// loop with what serving needs: the proven-empty short circuit, the plan and
+// execute trace spans, and the Store seam the fault-injection harness reads
+// through. Its result adds EmptyProven and the optimization to the engine's.
 package exec
 
 import (
@@ -24,28 +22,15 @@ import (
 	"sqo/internal/core"
 	"sqo/internal/engine"
 	"sqo/internal/obs"
-	"sqo/internal/predicate"
 	"sqo/internal/query"
 	"sqo/internal/storage"
-	"sqo/internal/value"
 )
 
-// checkEvery is how many examined instances pass between context checks —
-// frequent enough that cancellation cuts in promptly, rare enough that the
-// check never shows up in a profile.
-const checkEvery = 1024
-
-// Result is the outcome of one end-to-end execution.
+// Result is the outcome of one end-to-end execution: the engine's rows,
+// plan (nil when EmptyProven), meter and examined-instance count, plus what
+// optimize-then-execute adds.
 type Result struct {
-	// Rows are the projected result tuples, in plan order.
-	Rows []engine.Row
-	// Plan is the access plan that ran (nil when EmptyProven).
-	Plan *engine.Plan
-	// Meter is the physical work of this execution alone.
-	Meter storage.Meter
-	// TuplesScanned counts the instances the run examined — every instance
-	// surfaced by a scan, index fetch, or traversal, before filtering.
-	TuplesScanned int64
+	engine.Result
 	// EmptyProven is true when the optimizer proved the query empty and
 	// execution never touched storage.
 	EmptyProven bool
@@ -54,33 +39,12 @@ type Result struct {
 	Opt *core.Result
 }
 
-// Canonical returns the rows as a sorted multiset of strings, the form the
-// differential tests compare byte-for-byte.
-func (r *Result) Canonical() []string {
-	er := engine.Result{Rows: r.Rows}
-	return er.Canonical()
-}
-
-// Cost prices the result's meter with the given weights.
-func (r *Result) Cost(w engine.CostWeights) float64 { return w.Cost(r.Meter) }
-
-// Store is the read surface the run loop drives: exactly the five database
-// methods an executing plan touches. *storage.Database satisfies it
-// directly; the fault-injection harness satisfies it with a wrapper that
-// interposes on each call. Planning always sees the concrete database (the
-// planner needs its statistics), so a wrapper perturbs execution only.
-type Store interface {
-	Scan(class string, m *storage.Meter, fn func(storage.Instance) bool) error
-	Get(class string, oid storage.OID, m *storage.Meter) (storage.Instance, error)
-	IndexLookup(class, attr string, op storage.IndexOp, v value.Value, m *storage.Meter) ([]storage.OID, error)
-	Traverse(rel string, from string, oid storage.OID, m *storage.Meter) ([]storage.OID, error)
-	AttrIndexOf(class, attr string) (int, error)
-}
+// Store is the read surface the run loop drives; see engine.Store.
+type Store = engine.Store
 
 // Executor runs queries end-to-end over one database. Construct with New;
 // safe for concurrent use (the underlying database allows concurrent reads).
 type Executor struct {
-	db      *storage.Database
 	access  Store
 	planner *engine.Executor
 }
@@ -88,7 +52,7 @@ type Executor struct {
 // New builds an executor over the database, sharing the greedy planner (and
 // its statistics snapshot) with internal/engine.
 func New(db *storage.Database) *Executor {
-	return &Executor{db: db, access: db, planner: engine.New(db)}
+	return &Executor{access: db, planner: engine.New(db)}
 }
 
 // NewWith builds an executor that plans against db but reads through access —
@@ -98,11 +62,8 @@ func NewWith(db *storage.Database, access Store) *Executor {
 	if access == nil {
 		access = db
 	}
-	return &Executor{db: db, access: access, planner: engine.New(db)}
+	return &Executor{access: access, planner: engine.New(db)}
 }
-
-// Database returns the database this executor runs against.
-func (x *Executor) Database() *storage.Database { return x.db }
 
 // Execute plans and runs the query with push-down and early filtering,
 // honoring cancellation and deadlines on ctx. Plans come from the planner's
@@ -118,10 +79,14 @@ func (x *Executor) Execute(ctx context.Context, q *query.Query) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
+	out := &Result{}
 	at = tr.StartSpan()
-	out, err := x.run(ctx, q, plan)
+	err = engine.RunPlan(ctx, x.access, q, plan, &out.Result)
 	tr.EndSpan(obs.StageExecute, at)
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ExecuteOptimized runs an optimization result end-to-end: a proven-empty
@@ -140,228 +105,4 @@ func (x *Executor) ExecuteOptimized(ctx context.Context, res *core.Result) (*Res
 	}
 	out.Opt = res
 	return out, nil
-}
-
-// binding is one partial tuple: the bound instance per plan-step position.
-type binding []storage.Instance
-
-// compiledFilter is one pushed-down selective predicate with its attribute
-// offset resolved.
-type compiledFilter struct {
-	pred predicate.Predicate
-	attr int
-}
-
-// compiledJoin is one join predicate with both operand positions resolved.
-type compiledJoin struct {
-	pred     predicate.Predicate
-	lpos, la int
-	rpos, ra int
-}
-
-// compiledPlan is the plan with every name resolved to an offset, so the run
-// loop does no map lookups per instance.
-type compiledPlan struct {
-	filters [][]compiledFilter
-	joins   [][]compiledJoin
-	proj    []struct{ pos, attr int }
-}
-
-func (x *Executor) compile(q *query.Query, plan *engine.Plan) (*compiledPlan, map[string]int, error) {
-	classPos := map[string]int{}
-	for i, st := range plan.Steps {
-		classPos[st.Class] = i
-	}
-	cp := &compiledPlan{
-		filters: make([][]compiledFilter, len(plan.Steps)),
-		joins:   make([][]compiledJoin, len(plan.Steps)),
-	}
-	for i, st := range plan.Steps {
-		for _, p := range st.Filters {
-			ai, err := x.access.AttrIndexOf(st.Class, p.Left.Attr)
-			if err != nil {
-				return nil, nil, err
-			}
-			cp.filters[i] = append(cp.filters[i], compiledFilter{pred: p, attr: ai})
-		}
-		for _, j := range st.Joins {
-			lpos, ok := classPos[j.Left.Class]
-			if !ok {
-				return nil, nil, fmt.Errorf("exec: join %s references unplanned class", j)
-			}
-			rpos, ok := classPos[j.RightAttr.Class]
-			if !ok {
-				return nil, nil, fmt.Errorf("exec: join %s references unplanned class", j)
-			}
-			la, err := x.access.AttrIndexOf(j.Left.Class, j.Left.Attr)
-			if err != nil {
-				return nil, nil, err
-			}
-			ra, err := x.access.AttrIndexOf(j.RightAttr.Class, j.RightAttr.Attr)
-			if err != nil {
-				return nil, nil, err
-			}
-			cp.joins[i] = append(cp.joins[i], compiledJoin{pred: j, lpos: lpos, la: la, rpos: rpos, ra: ra})
-		}
-	}
-	cp.proj = make([]struct{ pos, attr int }, len(q.Project))
-	for i, a := range q.Project {
-		pos, ok := classPos[a.Class]
-		if !ok {
-			return nil, nil, fmt.Errorf("exec: projection %s references unplanned class", a)
-		}
-		ai, err := x.access.AttrIndexOf(a.Class, a.Attr)
-		if err != nil {
-			return nil, nil, err
-		}
-		cp.proj[i] = struct{ pos, attr int }{pos, ai}
-	}
-	return cp, classPos, nil
-}
-
-// run executes a compiled plan as a pipeline. Filters are evaluated the
-// moment an instance surfaces — a failing instance never becomes a binding —
-// and the context is checked every checkEvery examined instances.
-func (x *Executor) run(ctx context.Context, q *query.Query, plan *engine.Plan) (*Result, error) {
-	cp, classPos, err := x.compile(q, plan)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Plan: plan}
-	m := &res.Meter
-
-	// admit examines one surfaced instance: count it, filter it, and turn
-	// survivors into bindings. It returns false only on cancellation.
-	var ctxErr error
-	admit := func(stepIdx int, inst storage.Instance, from binding, next *[]binding) bool {
-		res.TuplesScanned++
-		if res.TuplesScanned%checkEvery == 0 {
-			if ctxErr = ctx.Err(); ctxErr != nil {
-				return false
-			}
-		}
-		for _, f := range cp.filters[stepIdx] {
-			m.PredEvals++
-			if !f.pred.EvalSel(inst.Values[f.attr]) {
-				return true
-			}
-		}
-		b := make(binding, len(plan.Steps))
-		copy(b, from)
-		b[stepIdx] = inst
-		*next = append(*next, b)
-		return true
-	}
-
-	var bindings []binding
-	for stepIdx, st := range plan.Steps {
-		var next []binding
-		switch st.Access {
-		case engine.AccessScan:
-			if stepIdx != 0 {
-				return nil, fmt.Errorf("exec: non-seed scan step at position %d", stepIdx)
-			}
-			err := x.access.Scan(st.Class, m, func(inst storage.Instance) bool {
-				return admit(stepIdx, inst, nil, &next)
-			})
-			if err != nil {
-				return nil, err
-			}
-
-		case engine.AccessIndex:
-			if stepIdx != 0 {
-				return nil, fmt.Errorf("exec: non-seed index step at position %d", stepIdx)
-			}
-			op, ok := indexOp(st.IndexPred.Op)
-			if !ok {
-				return nil, fmt.Errorf("exec: predicate %s cannot use an index", st.IndexPred)
-			}
-			oids, err := x.access.IndexLookup(st.Class, st.IndexPred.Left.Attr, op, st.IndexPred.Const, m)
-			if err != nil {
-				return nil, err
-			}
-			for _, oid := range oids {
-				inst, err := x.access.Get(st.Class, oid, m)
-				if err != nil {
-					return nil, err
-				}
-				if !admit(stepIdx, inst, nil, &next) {
-					break
-				}
-			}
-
-		case engine.AccessTraverse:
-			fromPos, ok := classPos[st.FromClass]
-			if !ok || fromPos >= stepIdx {
-				return nil, fmt.Errorf("exec: step %d traverses from unbound class %q", stepIdx, st.FromClass)
-			}
-		traverse:
-			for _, b := range bindings {
-				oids, err := x.access.Traverse(st.ViaRel, st.FromClass, b[fromPos].OID, m)
-				if err != nil {
-					return nil, err
-				}
-				for _, oid := range oids {
-					inst, err := x.access.Get(st.Class, oid, m)
-					if err != nil {
-						return nil, err
-					}
-					if !admit(stepIdx, inst, b, &next) {
-						break traverse
-					}
-				}
-			}
-		}
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-
-		// Join predicates that became checkable at this step.
-		if len(cp.joins[stepIdx]) > 0 {
-			joined := next[:0]
-			for _, b := range next {
-				ok := true
-				for _, j := range cp.joins[stepIdx] {
-					m.PredEvals++
-					if !j.pred.EvalJoin(b[j.lpos].Values[j.la], b[j.rpos].Values[j.ra]) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					joined = append(joined, b)
-				}
-			}
-			next = joined
-		}
-		bindings = next
-	}
-
-	for _, b := range bindings {
-		row := engine.Row{Values: make([]value.Value, len(cp.proj))}
-		for i, pr := range cp.proj {
-			row.Values[i] = b[pr.pos].Values[pr.attr]
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// indexOp maps a predicate operator onto an index lookup mode; != cannot use
-// an ordered index.
-func indexOp(op predicate.Op) (storage.IndexOp, bool) {
-	switch op {
-	case predicate.EQ:
-		return storage.IndexEQ, true
-	case predicate.LT:
-		return storage.IndexLT, true
-	case predicate.LE:
-		return storage.IndexLE, true
-	case predicate.GT:
-		return storage.IndexGT, true
-	case predicate.GE:
-		return storage.IndexGE, true
-	default:
-		return 0, false
-	}
 }

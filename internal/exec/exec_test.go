@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"sqo/internal/core"
+	"sqo/internal/costmodel"
+	"sqo/internal/datagen"
 	"sqo/internal/engine"
+	"sqo/internal/pathgen"
 	"sqo/internal/predicate"
 	"sqo/internal/query"
 	"sqo/internal/schema"
@@ -138,13 +141,110 @@ func TestTraverseMeter(t *testing.T) {
 	}
 }
 
-// TestRowsMatchEngine cross-checks the push-down pipeline against the
-// engine's materialize-then-filter executor on every query shape the little
-// world supports.
-func TestRowsMatchEngine(t *testing.T) {
+// reference evaluates q by brute force, without the planner or the run
+// loop: it binds each query class, in q.Classes order, to every instance of
+// its extent, keeps a binding when every select, join and relationship link
+// among the bound classes holds (links checked through Traverse), and
+// projects the survivors. It returns the canonical rows.
+func reference(t *testing.T, db *storage.Database, q *query.Query) []string {
+	t.Helper()
+	pos := map[string]int{}
+	extents := make([][]storage.Instance, len(q.Classes))
+	for i, cl := range q.Classes {
+		pos[cl] = i
+		if err := db.Scan(cl, nil, func(inst storage.Instance) bool {
+			extents[i] = append(extents[i], inst)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	val := func(b []storage.Instance, a predicate.AttrRef) value.Value {
+		ai, err := db.AttrIndexOf(a.Class, a.Attr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b[pos[a.Class]].Values[ai]
+	}
+	// checks[d] holds the conditions whose classes are all bound once the
+	// class at position d is.
+	checks := make([][]func([]storage.Instance) bool, len(q.Classes))
+	add := func(a, b string, c func([]storage.Instance) bool) {
+		d := max(pos[a], pos[b])
+		checks[d] = append(checks[d], c)
+	}
+	for _, p := range q.Selects {
+		add(p.Left.Class, p.Left.Class, func(b []storage.Instance) bool { return p.EvalSel(val(b, p.Left)) })
+	}
+	for _, j := range q.Joins {
+		add(j.Left.Class, j.RightAttr.Class, func(b []storage.Instance) bool {
+			return j.EvalJoin(val(b, j.Left), val(b, j.RightAttr))
+		})
+	}
+	for _, rn := range q.Relationships {
+		r := db.Schema().Relationship(rn)
+		add(r.Source, r.Target, func(b []storage.Instance) bool {
+			oids, err := db.Traverse(rn, r.Source, b[pos[r.Source]].OID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return slices.Contains(oids, b[pos[r.Target]].OID)
+		})
+	}
+	var res engine.Result
+	b := make([]storage.Instance, len(q.Classes))
+	var bind func(d int)
+	bind = func(d int) {
+		if d == len(q.Classes) {
+			row := engine.Row{}
+			for _, a := range q.Project {
+				row.Values = append(row.Values, val(b, a))
+			}
+			res.Rows = append(res.Rows, row)
+			return
+		}
+	next:
+		for _, inst := range extents[d] {
+			b[d] = inst
+			for _, c := range checks[d] {
+				if !c(b) {
+					continue next
+				}
+			}
+			bind(d + 1)
+		}
+	}
+	bind(0)
+	return res.Canonical()
+}
+
+// matchReference runs q under both planning policies — engine.Plan through
+// engine.Executor, engine.PlanExamined through this package — and requires
+// each run's rows to equal the brute-force reference's.
+func matchReference(t *testing.T, db *storage.Database, x *Executor, eng *engine.Executor, q *query.Query) {
+	t.Helper()
+	want := reference(t, db, q)
+	examined, err := x.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatalf("PlanExamined run of %s: %v", q, err)
+	}
+	cost, err := eng.Execute(q)
+	if err != nil {
+		t.Fatalf("Plan run of %s: %v", q, err)
+	}
+	if got := examined.Canonical(); !slices.Equal(got, want) {
+		t.Errorf("%s under PlanExamined: rows %v, reference %v", q, got, want)
+	}
+	if got := cost.Canonical(); !slices.Equal(got, want) {
+		t.Errorf("%s under Plan: rows %v, reference %v", q, got, want)
+	}
+}
+
+// TestRowsMatchReference checks the plan runner, and the planner that feeds
+// it, against the brute-force reference: every query shape the little world
+// supports, then DB1's 40-query pathgen workload raw and optimized.
+func TestRowsMatchReference(t *testing.T) {
 	db := loadDB(t)
-	x := New(db)
-	eng := engine.New(db)
 	queries := []*query.Query{
 		query.New("cargo").AddProject("cargo", "desc"),
 		query.New("cargo").AddProject("cargo", "desc").
@@ -158,17 +258,28 @@ func TestRowsMatchEngine(t *testing.T) {
 			AddSelect(predicate.Sel("cargo", "quantity", predicate.GT, value.Int(10))),
 	}
 	for _, q := range queries {
-		got, err := x.Execute(context.Background(), q)
+		matchReference(t, db, New(db), engine.New(db), q)
+	}
+
+	db1, err := datagen.Generate(datagen.DB1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := datagen.Constraints()
+	workload, err := pathgen.NewGenerator(db1, cat, pathgen.Options{Seed: 41}).Workload(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.NewOptimizer(db1.Schema(), core.CatalogSource{Catalog: cat},
+		core.Options{Cost: costmodel.New(db1.Schema(), db1.Analyze(), engine.DefaultWeights)})
+	x, eng := New(db1), engine.New(db1)
+	for _, q := range workload {
+		res, err := opt.Optimize(q)
 		if err != nil {
-			t.Fatalf("exec %s: %v", q, err)
+			t.Fatal(err)
 		}
-		want, err := eng.Execute(q)
-		if err != nil {
-			t.Fatalf("engine %s: %v", q, err)
-		}
-		if !slices.Equal(got.Canonical(), want.Canonical()) {
-			t.Errorf("%s: exec %v != engine %v", q, got.Canonical(), want.Canonical())
-		}
+		matchReference(t, db1, x, eng, q)
+		matchReference(t, db1, x, eng, res.Optimized)
 	}
 }
 
@@ -210,11 +321,11 @@ func TestExecuteOptimizedRuns(t *testing.T) {
 }
 
 // TestCancellation: a canceled context stops a long scan mid-extent. The
-// check fires every checkEvery examined instances, so the extent must be
-// bigger than that.
+// run loop checks the context every 1024 examined instances, so the extent
+// must be bigger than that.
 func TestCancellation(t *testing.T) {
 	db := storage.NewDatabase(testSchema(t))
-	for i := 0; i < 3*checkEvery; i++ {
+	for i := 0; i < 3000; i++ {
 		if _, err := db.Insert("cargo", map[string]value.Value{
 			"desc": value.String("bulk"), "quantity": value.Int(int64(i)),
 		}); err != nil {

@@ -94,9 +94,6 @@ func (s *Server) SetDegradation(level int) {
 	s.eng.SetDegradation(s.ladder.Level())
 }
 
-// DegradationLevel returns the ladder level currently in force.
-func (s *Server) DegradationLevel() int { return s.ladder.Level() }
-
 // readyzResponse is the body of GET /readyz.
 type readyzResponse struct {
 	Status           string `json:"status"` // "ready" or "draining"

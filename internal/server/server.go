@@ -210,9 +210,6 @@ func (s *Server) StartDraining() {
 	}
 }
 
-// Draining reports whether StartDraining has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close flips readiness off and stops the pressure monitor. Call it after
 // http.Server.Shutdown has drained connections.
 func (s *Server) Close() {

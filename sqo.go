@@ -303,7 +303,8 @@ type (
 	Stats = storage.Stats
 	// Executor plans and runs queries over a Database.
 	Executor = engine.Executor
-	// ExecResult is an executed query's rows plus metered cost.
+	// ExecResult is an executed query's rows, plan, metered cost and
+	// tuples-scanned count.
 	ExecResult = engine.Result
 	// Row is one projected result tuple.
 	Row = engine.Row

@@ -239,7 +239,7 @@ func TestCatalogUpdateSpeedup(t *testing.T) {
 	}
 	all := cat.All()
 
-	// Warm the lineage (first delta pays the one-time map promotion).
+	// Warm the lineage (first delta pays the one-time lineage seeding).
 	if _, err := eng.UpdateCatalog(sqo.NewCatalogDelta().ReplaceConstraint(all[0].ID, all[0])); err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"sqo/internal/frozen"
 	"sqo/internal/predicate"
 	"sqo/internal/query"
 	"sqo/internal/schema"
@@ -77,6 +78,7 @@ type Constraint struct {
 	kind    Kind
 	classes []string
 	key     string
+	keyHash uint64 // frozen.HashString(key), for symbol-table ordinal probes
 }
 
 // New builds a constraint, computing its classification and canonical key.
@@ -109,6 +111,7 @@ func Restore(id, doc string, antecedents []predicate.Predicate, links []string,
 		kind:           kind,
 		classes:        classes,
 		key:            key,
+		keyHash:        frozen.HashString(key),
 	}
 }
 
@@ -149,6 +152,7 @@ func (c *Constraint) finish() {
 	links := append([]string(nil), c.Links...)
 	sort.Strings(links)
 	c.key = strings.Join(keys, "&") + "|" + strings.Join(links, "&") + "=>" + c.Consequent.Key()
+	c.keyHash = frozen.HashString(c.key)
 }
 
 // Kind returns the intra/inter classification (the paper's tc(c) tag).
@@ -169,6 +173,10 @@ func (c *Constraint) ClassAt(i int) string { return c.classes[i] }
 // Key is a canonical identity: two constraints with the same antecedent set,
 // link set and consequent share a key. The closure module dedupes with it.
 func (c *Constraint) Key() string { return c.key }
+
+// KeyHash is the frozen-table hash of Key, computed once where the key is
+// set, so resolving a constraint's ordinal hashes nothing per query.
+func (c *Constraint) KeyHash() uint64 { return c.keyHash }
 
 // RelevantTo reports whether the constraint applies to the query: every class
 // it references appears in the query (the paper's definition), and every

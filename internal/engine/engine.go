@@ -93,6 +93,17 @@ type Step struct {
 	IndexPred predicate.Predicate   // the predicate served by AccessIndex
 	Filters   []predicate.Predicate // selective predicates checked here
 	Joins     []predicate.Predicate // join predicates checkable after this step
+	Links     []Link                // query relationships closing a cycle here
+}
+
+// Link is a query relationship no traversal of the plan used: it closes a
+// cycle among the query's classes. It sits on the step that binds its second
+// end (Step.Class), which keeps a binding only when traversing ViaRel from
+// the instance bound to FromClass, its first end, reaches the step's
+// instance.
+type Link struct {
+	ViaRel    string
+	FromClass string
 }
 
 // Plan is the ordered list of steps evaluating a query.
@@ -120,6 +131,9 @@ func (p *Plan) String() string {
 		}
 		for _, j := range s.Joins {
 			fmt.Fprintf(&sb, " join(%s)", j)
+		}
+		for _, l := range s.Links {
+			fmt.Fprintf(&sb, " link(%s -[%s]-> %s)", l.FromClass, l.ViaRel, s.Class)
 		}
 	}
 	return sb.String()
@@ -241,11 +255,12 @@ func (e *Executor) plan(q *query.Query, score func(*query.Query, string, map[str
 	plan := &Plan{}
 	bound := map[string]bool{seed: true}
 	joinsDone := map[string]bool{}
+	relUsed := map[string]bool{}
 	step := e.seedStep(seed, selects[seed])
 	step.Joins = e.checkableJoins(q, bound, joinsDone)
+	step.Links = e.closingLinks(q, seed, bound, relUsed)
 	plan.Steps = append(plan.Steps, step)
 
-	relUsed := map[string]bool{}
 	for len(bound) < len(q.Classes) {
 		// Candidate expansions: unbound classes reachable via an unused
 		// query relationship from a bound class.
@@ -289,9 +304,31 @@ func (e *Executor) plan(q *query.Query, score func(*query.Query, string, map[str
 			Filters:   selects[best.class],
 		}
 		st.Joins = e.checkableJoins(q, bound, joinsDone)
+		st.Links = e.closingLinks(q, best.class, bound, relUsed)
 		plan.Steps = append(plan.Steps, st)
 	}
 	return plan, nil
+}
+
+// closingLinks returns the query relationships that the step binding class
+// made fully bound without traversing them, marking them used: no later
+// step can traverse a relationship whose ends are both bound, so each is
+// checked here or nowhere.
+func (e *Executor) closingLinks(q *query.Query, class string, bound, used map[string]bool) []Link {
+	var out []Link
+	for _, rn := range q.Relationships {
+		r := e.db.Schema().Relationship(rn)
+		if used[rn] || r == nil || !bound[r.Source] || !bound[r.Target] {
+			continue
+		}
+		used[rn] = true
+		from := r.Source
+		if from == class {
+			from = r.Target
+		}
+		out = append(out, Link{ViaRel: rn, FromClass: from})
+	}
+	return out
 }
 
 // checkableJoins returns the join predicates whose classes are all bound and

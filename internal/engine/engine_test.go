@@ -297,6 +297,65 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
+// TestPlanChecksClosingLink: a query relationship no traversal of the plan
+// uses (here the second of two relationships between the same classes)
+// closes a cycle. Both planning policies check it on the step binding its
+// second end, by one metered traversal per binding from its first end.
+func TestPlanChecksClosingLink(t *testing.T) {
+	sch := schema.NewBuilder().
+		Class("a", schema.Attribute{Name: "n", Type: value.KindInt}).
+		Class("b", schema.Attribute{Name: "n", Type: value.KindInt}).
+		Relationship("r1", "a", "b", schema.ManyToMany).
+		Relationship("r2", "a", "b", schema.ManyToMany).
+		MustBuild()
+	db := storage.NewDatabase(sch)
+	var oids [2][2]storage.OID
+	for i, cl := range []string{"a", "b"} {
+		for n := range 2 {
+			oid, err := db.Insert(cl, map[string]value.Value{"n": value.Int(int64(n))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oids[i][n] = oid
+		}
+	}
+	// r1 links (a0,b0), (a0,b1), (a1,b1); r2 links (a0,b0), (a1,b0). Only
+	// (a0,b0) is linked by both.
+	for _, l := range []struct {
+		rel  string
+		a, b int
+	}{{"r1", 0, 0}, {"r1", 0, 1}, {"r1", 1, 1}, {"r2", 0, 0}, {"r2", 1, 0}} {
+		if err := db.Link(l.rel, oids[0][l.a], oids[1][l.b]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(db)
+	q := query.New("a", "b").AddRelationship("r1").AddRelationship("r2").
+		AddProject("a", "n").AddProject("b", "n")
+	for name, planOf := range map[string]func(*query.Query) (*Plan, error){"Plan": e.Plan, "PlanExamined": e.PlanExamined} {
+		plan, err := planOf(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := plan.Steps[len(plan.Steps)-1]
+		if len(last.Links) != 1 || last.Links[0].ViaRel != "r2" || last.Links[0].FromClass != plan.Steps[0].Class ||
+			!strings.Contains(plan.String(), " link(") {
+			t.Fatalf("%s: plan %s should check r2 as a link on its last step", name, plan)
+		}
+		res, err := e.Run(q, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Canonical(); len(got) != 1 || got[0] != "0|0" {
+			t.Errorf("%s: rows %v, want [0|0]", name, got)
+		}
+		// Two seed traversals reach three bindings; each pays one link check.
+		if res.Meter.LinkTraversals != 5 {
+			t.Errorf("%s: %d link traversals, want 5", name, res.Meter.LinkTraversals)
+		}
+	}
+}
+
 func TestAccessKindString(t *testing.T) {
 	if AccessScan.String() != "scan" || AccessIndex.String() != "index" ||
 		AccessTraverse.String() != "traverse" || AccessKind(9).String() != "access(?)" {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sqo/internal/predicate"
 	"sqo/internal/query"
@@ -61,11 +62,19 @@ type compiledJoin struct {
 	rpos, ra int
 }
 
+// compiledLink is one cycle-closing link check with its first end's
+// position resolved.
+type compiledLink struct {
+	rel, from string
+	fromPos   int
+}
+
 // compiledPlan is the plan with every name resolved to an offset, so the run
 // loop does no map lookups per instance.
 type compiledPlan struct {
 	filters [][]compiledFilter
 	joins   [][]compiledJoin
+	links   [][]compiledLink
 	proj    []struct{ pos, attr int }
 }
 
@@ -105,6 +114,16 @@ func compile(s Store, q *query.Query, plan *Plan) (*compiledPlan, map[string]int
 			}
 			cp.joins[i] = append(cp.joins[i], compiledJoin{pred: j, lpos: lpos, la: la, rpos: rpos, ra: ra})
 		}
+		for _, l := range st.Links {
+			fromPos, ok := classPos[l.FromClass]
+			if !ok || fromPos > i {
+				return nil, nil, fmt.Errorf("engine: link %s checked from unbound class %q", l.ViaRel, l.FromClass)
+			}
+			if cp.links == nil { // only cyclic queries pay for the spine
+				cp.links = make([][]compiledLink, len(plan.Steps))
+			}
+			cp.links[i] = append(cp.links[i], compiledLink{rel: l.ViaRel, from: l.FromClass, fromPos: fromPos})
+		}
 	}
 	cp.proj = make([]struct{ pos, attr int }, len(q.Project))
 	for i, a := range q.Project {
@@ -124,7 +143,8 @@ func compile(s Store, q *query.Query, plan *Plan) (*compiledPlan, map[string]int
 // RunPlan executes a plan of q as a pipeline over s, filling res (which the
 // caller allocates, so a wrapper result can embed it). Filters are evaluated
 // the moment an instance surfaces — a failing instance never becomes a
-// binding — joins are checked at the first step that binds both sides, and
+// binding — joins and cycle-closing links are checked at the first step that
+// binds both sides (a link by one metered traversal from its first end), and
 // the context is checked every checkEvery examined instances. This is the
 // only loop that runs a plan; Plan and PlanExamined differ only in the plan
 // they hand it.
@@ -239,6 +259,27 @@ func RunPlan(ctx context.Context, s Store, q *query.Query, plan *Plan, res *Resu
 				}
 			}
 			next = joined
+		}
+
+		// Links that close a cycle at this step (cp.links is nil for an
+		// acyclic plan): the step's instance must be reachable from the
+		// first end's through the relationship.
+		var links []compiledLink
+		if cp.links != nil {
+			links = cp.links[stepIdx]
+		}
+		for _, l := range links {
+			linked := next[:0]
+			for _, b := range next {
+				oids, err := s.Traverse(l.rel, l.from, b[l.fromPos].OID, m)
+				if err != nil {
+					return err
+				}
+				if slices.Contains(oids, b[stepIdx].OID) {
+					linked = append(linked, b)
+				}
+			}
+			next = linked
 		}
 		bindings = next
 	}

@@ -242,7 +242,8 @@ func matchReference(t *testing.T, db *storage.Database, x *Executor, eng *engine
 
 // TestRowsMatchReference checks the plan runner, and the planner that feeds
 // it, against the brute-force reference: every query shape the little world
-// supports, then DB1's 40-query pathgen workload raw and optimized.
+// supports, a cyclic query on DB1, then DB1's 40-query pathgen workload raw
+// and optimized.
 func TestRowsMatchReference(t *testing.T) {
 	db := loadDB(t)
 	queries := []*query.Query{
@@ -273,6 +274,11 @@ func TestRowsMatchReference(t *testing.T) {
 	opt := core.NewOptimizer(db1.Schema(), core.CatalogSource{Catalog: cat},
 		core.Options{Cost: costmodel.New(db1.Schema(), db1.Analyze(), engine.DefaultWeights)})
 	x, eng := New(db1), engine.New(db1)
+	// A cyclic query: the plan's traversals span two of the three
+	// relationships, and the third must still be checked.
+	matchReference(t, db1, x, eng, query.New("driver", "vehicle", "cargo").
+		AddRelationship("drives").AddRelationship("collects").AddRelationship("inspects").
+		AddProject("driver", "name").AddProject("cargo", "desc"))
 	for _, q := range workload {
 		res, err := opt.Optimize(q)
 		if err != nil {

@@ -1,11 +1,11 @@
-// Package frozen implements the serializable open-addressing hash tables of
-// the snapshot format: a symbol lookup structure that is built once (at
-// snapshot-write time), stored in the snapshot file as a plain []int32 slot
-// array, and probed directly after a restore — no per-entry hashing, map
-// insertion or allocation on the warm-boot path. This is what lets a
-// restored symbol space answer lookups immediately at O(read) load cost,
-// where rebuilding Go maps for the same symbols would alone cost several
-// multiples of the whole warm-boot budget.
+// Package frozen implements the open-addressing hash tables that resolve
+// the symbols of a catalog lineage's base generation. symtab.Compile grows
+// them while it mints IDs (Add); the snapshot writer builds them at exact
+// size and stores each as a plain []int32 slot array; a restore probes those
+// arrays in place — no per-entry hashing, map insertion or allocation on the
+// warm-boot path. A compiled and a restored generation therefore resolve
+// names through the same structure, and only symbols minted after the base
+// (by symtab's Patch) live anywhere else.
 //
 // A Table stores only entry IDs; the keys live in the owner's backing arrays
 // (interned strings, pooled predicates), and equality is checked through a
@@ -96,6 +96,22 @@ func (t Table) Insert(h uint64, id int32) {
 			return
 		}
 	}
+}
+
+// Add stores id under hash h in a table holding IDs 0..id-1, first
+// rebuilding it at twice the size (rehashing the stored IDs through hashOf)
+// when id would take it past half full. Adding IDs 0..n-1 in order, from the
+// zero Table, leaves exactly the slots New(n) and n Inserts in ID order
+// would, so a table grown while its owner mints IDs matches the one a
+// snapshot writer builds for the same entries.
+func (t *Table) Add(h uint64, id int32, hashOf func(id int32) uint64) {
+	if 2*(int(id)+1) > len(t.slots) {
+		*t = New(int(id) + 1)
+		for i := int32(0); i < id; i++ {
+			t.Insert(hashOf(i), i)
+		}
+	}
+	t.Insert(h, id)
 }
 
 // Find probes for a key with hash h, confirming candidate IDs through eq

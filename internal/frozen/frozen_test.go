@@ -27,6 +27,32 @@ func TestTableInsertFind(t *testing.T) {
 	}
 }
 
+// TestAddMatchesNew: growing a table one ID at a time from the zero Table
+// ends at the exact slot array New plus in-order Inserts builds, for every
+// entry count across several doublings.
+func TestAddMatchesNew(t *testing.T) {
+	hashOf := func(id int32) uint64 { return HashString(fmt.Sprintf("k%d", id)) }
+	for n := 0; n <= 70; n++ {
+		var grown Table
+		for id := int32(0); id < int32(n); id++ {
+			grown.Add(hashOf(id), id, hashOf)
+		}
+		want := New(n)
+		for id := int32(0); id < int32(n); id++ {
+			want.Insert(hashOf(id), id)
+		}
+		if n == 0 {
+			if !grown.Empty() {
+				t.Fatal("zero adds grew the table")
+			}
+			continue
+		}
+		if fmt.Sprint(grown.Slots()) != fmt.Sprint(want.Slots()) {
+			t.Fatalf("n=%d: grown slots %v, want %v", n, grown.Slots(), want.Slots())
+		}
+	}
+}
+
 func TestZeroTableMisses(t *testing.T) {
 	var tb Table
 	if !tb.Empty() {

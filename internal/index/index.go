@@ -263,10 +263,6 @@ func (ix *Index) computeMaxPosting() int {
 // Implements core.SymbolSource; treat as read-only.
 func (ix *Index) Symbols() *symtab.Table { return ix.syms }
 
-// PredPool returns the catalog's interned predicate pool (the symbol
-// space's PredID ordering); treat as read-only.
-func (ix *Index) PredPool() *predicate.Pool { return ix.syms.Pool() }
-
 // Len returns the number of indexed (live) constraints.
 func (ix *Index) Len() int { return ix.live }
 
@@ -286,7 +282,7 @@ func (ix *Index) Relevant(q *query.Query) []*constraint.Constraint {
 		// A class this generation never interned is referenced by none of
 		// its constraints: it cannot contribute postings or satisfy a
 		// requirement, so it is simply skipped. The bound check covers a
-		// patch lineage's shared symbol maps, where an old generation can
+		// patch lineage's shared overlay, where an old generation can
 		// resolve a class a *later* generation interned — beyond this
 		// generation's spine, hence equally unreferenced here.
 	}

@@ -1,112 +1,33 @@
 package predicate
 
-import (
-	"sync"
-
-	"sqo/internal/frozen"
-)
-
 // Pool interns predicates by canonical key, assigning each distinct predicate
 // a small integer ID. This is the paper's storage optimization for
 // materialized closures: "extracting all the predicates into a separate
 // structure, and modifying the constraints to contain only pointers to
-// relevant predicates in the structure". The transformation table of the core
-// algorithm also identifies its columns by pool IDs.
+// relevant predicates in the structure". closure.Materialize returns one
+// alongside the closed catalog. A catalog generation's own predicate space
+// (the PredIDs the transformation table's columns refer to) lives in
+// symtab.Table, which resolves it the way it resolves every other symbol.
 //
 // The zero Pool is ready to use. Pool is not safe for concurrent mutation.
-//
-// A pool can also join a mutable lineage (Fork): forks of one pool share an
-// append-only ID space whose key map is safe for concurrent lookups while
-// later forks keep interning. Each fork's own preds slice header freezes the
-// generation's length, so two generations can serve lookups concurrently
-// while the newest one (serialized by the caller) grows the space.
-//
-// A third mode exists for snapshot restore: a pool rebuilt by RestorePool
-// resolves keys through a frozen open-addressing table stored alongside the
-// predicates, so a warm boot performs no per-predicate map insertion at all.
-// Forks of a restored pool keep the frozen table for the snapshot-era IDs
-// and intern post-snapshot predicates into the lineage's shared map.
 type Pool struct {
 	byKey map[string]int
-	live  *sync.Map // key -> int; non-nil once the pool joined a lineage
-	frz   frozen.Table
 	preds []Predicate
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{byKey: map[string]int{}} }
 
-// NewPoolSize returns an empty pool with room for the expected number of
-// distinct predicates, so interning a known workload does not rehash or
-// regrow. Per-query pools (one per transformation table) are sized from the
-// query and its relevant constraints.
-func NewPoolSize(capacity int) *Pool {
-	return &Pool{
-		byKey: make(map[string]int, capacity),
-		preds: make([]Predicate, 0, capacity),
-	}
-}
-
-// Freeze builds the serializable frozen lookup table over the pool's current
-// entries, for the snapshot writer. The pool itself is unchanged.
-func (pl *Pool) Freeze() []int32 {
-	t := frozen.New(len(pl.preds))
-	for i := range pl.preds {
-		t.Insert(frozen.HashString(pl.preds[i].Key()), int32(i))
-	}
-	return t.Slots()
-}
-
-// RestorePool rebuilds a pool from persisted predicates and the frozen slot
-// array Freeze produced for them. ok is false when the slot array cannot
-// belong to a pool of this size.
-func RestorePool(preds []Predicate, slots []int32) (*Pool, bool) {
-	t, ok := frozen.FromSlots(slots, len(preds))
-	if !ok {
-		return nil, false
-	}
-	return &Pool{frz: t, preds: preds}, true
-}
-
-// frzLookup resolves a key through the frozen table, when present.
-func (pl *Pool) frzLookup(k string) (int, bool) {
-	if pl.frz.Empty() {
-		return 0, false
-	}
-	id, ok := pl.frz.Find(frozen.HashString(k), func(id int32) bool {
-		return pl.preds[id].Key() == k
-	})
-	return int(id), ok
-}
-
 // Intern returns the ID for p, allocating one if the predicate is new.
-// On a lineage fork, new IDs become visible to every fork sharing the
-// lineage; Intern calls across forks must be serialized by the caller.
 func (pl *Pool) Intern(p Predicate) int {
-	k := p.Key()
-	if pl.live != nil {
-		if id, ok := pl.live.Load(k); ok {
-			return id.(int)
-		}
-		if id, ok := pl.frzLookup(k); ok {
-			return id
-		}
-		id := len(pl.preds)
-		pl.live.Store(k, id)
-		pl.preds = append(pl.preds, p)
-		return id
-	}
 	if pl.byKey == nil {
 		pl.byKey = map[string]int{}
 	}
-	if id, ok := pl.byKey[k]; ok {
-		return id
-	}
-	if id, ok := pl.frzLookup(k); ok {
+	if id, ok := pl.byKey[p.Key()]; ok {
 		return id
 	}
 	id := len(pl.preds)
-	pl.byKey[k] = id
+	pl.byKey[p.Key()] = id
 	pl.preds = append(pl.preds, p)
 	return id
 }
@@ -114,35 +35,8 @@ func (pl *Pool) Intern(p Predicate) int {
 // Lookup returns the ID for p without interning. The second result reports
 // whether the predicate was present.
 func (pl *Pool) Lookup(p Predicate) (int, bool) {
-	if pl.live != nil {
-		if id, ok := pl.live.Load(p.Key()); ok {
-			return id.(int), true
-		}
-		return pl.frzLookup(p.Key())
-	}
-	if id, ok := pl.byKey[p.Key()]; ok {
-		return id, true
-	}
-	return pl.frzLookup(p.Key())
-}
-
-// Fork returns a new pool of the same lineage: it shares the receiver's
-// interned entries and key map (promoted to a concurrent-read-safe form on
-// the first Fork of a lineage) but owns its slice header, so the receiver
-// keeps serving Lookup/At concurrently while the fork Interns more
-// predicates. Fork and fork-side Intern calls must be serialized by the
-// caller; the receiver is never mutated. A restored pool's frozen table is
-// carried into every fork; the shared map then holds only post-snapshot
-// entries.
-func (pl *Pool) Fork() *Pool {
-	live := pl.live
-	if live == nil {
-		live = &sync.Map{}
-		for k, v := range pl.byKey {
-			live.Store(k, v)
-		}
-	}
-	return &Pool{live: live, frz: pl.frz, preds: pl.preds}
+	id, ok := pl.byKey[p.Key()]
+	return id, ok
 }
 
 // At returns the predicate with the given ID. It panics on out-of-range IDs,

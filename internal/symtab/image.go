@@ -1,34 +1,19 @@
-// Snapshot support: exporting a compiled symbol space to a serializable
-// image and rebuilding a Table from one without recompiling anything.
+// Snapshot support: exporting a symbol space to a serializable image and
+// adopting one as the base of a new lineage without recompiling anything.
 //
-// The restore path is the whole point of the exercise: symtab.Compile
-// dominates a cold catalog build (predicate interning, map construction and
-// the O(Σ bucket²) implication inference are ~80% of it at 1e4 rules), so a
-// warm boot must sidestep every one of those costs. An Image therefore
-// carries, alongside the plain backing arrays, the *frozen* open-addressing
-// lookup tables (package frozen) that Image() builds once at snapshot-write
-// time; FromImage just wraps the arrays and tables in a Table whose lookups
-// probe the frozen slots directly — no map is ever rebuilt, no string ever
-// re-hashed into a Go map, no implication ever re-derived.
+// A snapshot stores the base form itself: the plain backing arrays plus the
+// frozen open-addressing tables (package frozen) over them, which Image
+// rebuilds at exact size on every write. FromImage wraps those arrays and
+// slot arrays in a Table that resolves names exactly as a compiled one does
+// — no map is rebuilt, no string re-hashed into a Go map, no implication
+// re-derived — so a warm boot skips the predicate interning and the
+// O(Σ bucket²) implication inference that dominate a cold Compile.
 package symtab
 
 import (
-	"sqo/internal/constraint"
 	"sqo/internal/frozen"
 	"sqo/internal/predicate"
 )
-
-// frozenLookups is the restored-generation symbol resolution state: one
-// open-addressing table per symbol space, probing into the Table's plain
-// backing arrays for equality confirmation.
-type frozenLookups struct {
-	classes frozen.Table
-	attrs   frozen.Table
-	sigs    frozen.Table
-	sigRep  []PredID // per signature ordinal: a pooled predicate bearing it
-	ords    frozen.Table
-	ordKeys []string // per snapshot ordinal: constraint key; "" = tombstone
-}
 
 // sep separates composite key fields in frozen hashing.
 const sep = 0xff
@@ -55,48 +40,7 @@ func hashSig(k sigKey) uint64 {
 	return frozen.AddString(h, k.right.Attr)
 }
 
-func hashOrd(key string) uint64 { return frozen.HashString(key) }
-
-func (t *Table) frzClass(name string) (ClassID, bool) {
-	id, ok := t.frz.classes.Find(hashClass(name), func(id int32) bool {
-		return t.classNames[id] == name
-	})
-	if !ok {
-		return None, false
-	}
-	return ClassID(id), true
-}
-
-func (t *Table) frzAttr(k attrKey) (AttrID, bool) {
-	id, ok := t.frz.attrs.Find(hashAttr(k), func(id int32) bool {
-		return t.attrKeys[id] == k
-	})
-	if !ok {
-		return None, false
-	}
-	return AttrID(id), true
-}
-
-func (t *Table) frzSig(k sigKey) (int32, bool) {
-	id, ok := t.frz.sigs.Find(hashSig(k), func(id int32) bool {
-		return sigOf(t.pool.At(int(t.frz.sigRep[id]))) == k
-	})
-	if !ok {
-		return 0, false
-	}
-	return id, true
-}
-
-func (t *Table) frzOrd(c *constraint.Constraint) (int, bool) {
-	key := c.Key()
-	ord, ok := t.frz.ords.Find(hashOrd(key), func(id int32) bool {
-		return t.frz.ordKeys[id] == key
-	})
-	if !ok || int(ord) >= len(t.compiled) {
-		return 0, false
-	}
-	return int(ord), true
-}
+func hashPred(p predicate.Predicate) uint64 { return frozen.HashString(p.Key()) }
 
 // Image is the serializable form of a Table: the plain backing arrays plus
 // the frozen lookup-slot arrays. Compiled constraint rows are normalized to
@@ -141,10 +85,10 @@ func (t *Table) Image(ordKeys []string) *Image {
 		NSigs:      t.nSigs,
 		Fwd:        t.fwd,
 		Rev:        t.rev,
-		Preds:      t.pool.All(),
-		PoolSlots:  t.pool.Freeze(),
+		Preds:      append([]predicate.Predicate(nil), t.preds...), // fresh: the writer appends to it
 		OrdKeys:    ordKeys,
 	}
+	img.PoolSlots = slots(len(t.preds), func(id int32) uint64 { return hashPred(t.preds[id]) })
 
 	img.AttrClasses = make([]string, len(t.attrKeys))
 	img.AttrNames = make([]string, len(t.attrKeys))
@@ -152,17 +96,8 @@ func (t *Table) Image(ordKeys []string) *Image {
 		img.AttrClasses[i], img.AttrNames[i] = k.class, k.attr
 	}
 
-	classes := frozen.New(len(t.classNames))
-	for i, name := range t.classNames {
-		classes.Insert(hashClass(name), int32(i))
-	}
-	img.ClassSlots = classes.Slots()
-
-	attrs := frozen.New(len(t.attrKeys))
-	for i, k := range t.attrKeys {
-		attrs.Insert(hashAttr(k), int32(i))
-	}
-	img.AttrSlots = attrs.Slots()
+	img.ClassSlots = slots(len(t.classNames), func(id int32) uint64 { return hashClass(t.classNames[id]) })
+	img.AttrSlots = slots(len(t.attrKeys), func(id int32) uint64 { return hashAttr(t.attrKeys[id]) })
 
 	img.SigRep = make([]PredID, t.nSigs)
 	for i := range img.SigRep {
@@ -176,7 +111,7 @@ func (t *Table) Image(ordKeys []string) *Image {
 	sigs := frozen.New(t.nSigs)
 	for sig, rep := range img.SigRep {
 		if rep != None {
-			sigs.Insert(hashSig(sigOf(t.pool.At(int(rep)))), int32(sig))
+			sigs.Insert(hashSig(sigOf(t.preds[rep])), int32(sig))
 		}
 	}
 	img.SigSlots = sigs.Slots()
@@ -203,11 +138,20 @@ func (t *Table) Image(ordKeys []string) *Image {
 	ords := frozen.New(live)
 	for ord, k := range ordKeys {
 		if k != "" {
-			ords.Insert(hashOrd(k), int32(ord))
+			ords.Insert(frozen.HashString(k), int32(ord))
 		}
 	}
 	img.OrdSlots = ords.Slots()
 	return img
+}
+
+// slots builds the exact-size frozen table over IDs 0..n-1.
+func slots(n int, hashOf func(id int32) uint64) []int32 {
+	tab := frozen.New(n)
+	for id := int32(0); id < int32(n); id++ {
+		tab.Insert(hashOf(id), id)
+	}
+	return tab.Slots()
 }
 
 // FromImage rebuilds a Table from an image in O(arrays): backing slices are
@@ -221,7 +165,7 @@ func FromImage(img *Image) (*Table, bool) {
 	attrs, ok2 := frozen.FromSlots(img.AttrSlots, len(img.AttrClasses))
 	sigs, ok3 := frozen.FromSlots(img.SigSlots, img.NSigs)
 	ords, ok4 := frozen.FromSlots(img.OrdSlots, len(img.OrdKeys))
-	pool, ok5 := predicate.RestorePool(img.Preds, img.PoolSlots)
+	preds, ok5 := frozen.FromSlots(img.PoolSlots, len(img.Preds))
 	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
 		return nil, false
 	}
@@ -232,17 +176,18 @@ func FromImage(img *Image) (*Table, bool) {
 	}
 	t := &Table{
 		classNames: img.ClassNames,
-		pool:       pool,
+		preds:      img.Preds,
 		predSig:    img.PredSig,
 		nSigs:      img.NSigs,
 		fwd:        img.Fwd,
 		rev:        img.Rev,
-		frz: &frozenLookups{
+		base: &base{
 			classes: classes,
 			attrs:   attrs,
 			sigs:    sigs,
-			sigRep:  img.SigRep,
+			preds:   preds,
 			ords:    ords,
+			sigRep:  img.SigRep,
 			ordKeys: img.OrdKeys,
 		},
 	}

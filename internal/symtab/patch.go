@@ -15,17 +15,18 @@ import (
 //
 // Removals need no symbol work at all: a removed constraint's ordinal,
 // predicates and classes simply become tombstones — still resolvable through
-// the lineage's shared maps (an old generation may still be serving them),
-// no longer referenced by the new generation's retrieval structures. A
-// re-added symbol therefore reuses its tombstoned ID instead of minting a
+// the lineage's base and overlay (an old generation may still be serving
+// them), no longer referenced by the new generation's retrieval structures.
+// A re-added symbol therefore reuses its tombstoned ID instead of minting a
 // new one.
 //
-// The first Patch of a lineage promotes the receiver's plain maps into the
-// lineage's shared concurrent maps (O(symbols), once); afterwards a patch
-// costs O(|added| · bucket) symbol work plus one copy of the implication
-// adjacency spines. The receiver is never mutated and keeps serving
-// concurrently; Patch calls within a lineage must be serialized by the
-// caller (the engine holds its swap lock).
+// The first Patch of a lineage starts its overlay empty: the base keeps
+// resolving every symbol it holds, and only the signature-bucket membership
+// is built (O(predicates), once). Every patch then costs O(|added| · bucket)
+// symbol work plus one copy of the implication adjacency spines. The
+// receiver is never mutated and keeps serving concurrently; Patch calls
+// within a lineage must be serialized by the caller (the engine holds its
+// swap lock).
 //
 // Patch returns the new table and the ordinals assigned to added, parallel
 // to it. With no additions the receiver itself is returned unchanged.
@@ -33,90 +34,22 @@ func (t *Table) Patch(added []*constraint.Constraint) (*Table, []int32) {
 	if len(added) == 0 {
 		return t, nil
 	}
-	nt := &Table{
-		classNames: t.classNames,
-		attrKeys:   t.attrKeys,
-		pool:       t.pool.Fork(),
-		predSig:    t.predSig,
-		nSigs:      t.nSigs,
-		fwd:        t.fwd,
-		rev:        t.rev,
-		compiled:   t.compiled,
-		antsFlat:   t.antsFlat,
-		live:       t.live,
-		frz:        t.frz,
-	}
-	if nt.live == nil {
-		nt.live = t.promote()
+	nt := *t
+	if nt.over == nil {
+		nt.over = &overlay{sigMembers: make(map[int32][]PredID, t.nSigs)}
+		// PredIDs ascend, so appending in ID order keeps buckets sorted.
+		for id, sig := range t.predSig {
+			nt.over.sigMembers[sig] = append(nt.over.sigMembers[sig], PredID(id))
+		}
 	}
 
-	// Compile the added constraints, mirroring Compile's per-constraint
-	// order (antecedents, consequent, classes) so column numbering in the
-	// transformation table is reproduced exactly.
-	oldPreds := nt.pool.Len()
+	oldPreds := len(nt.preds)
 	ords := make([]int32, len(added))
 	for i, c := range added {
-		ord := int32(len(nt.compiled))
-		ords[i] = ord
-		nt.live.ordOf.Store(c, ord)
-		start := len(nt.antsFlat)
-		for _, a := range c.Antecedents {
-			nt.antsFlat = append(nt.antsFlat, nt.internPred(a))
-		}
-		nt.compiled = append(nt.compiled, Compiled{
-			Cons: nt.internPred(c.Consequent),
-			Ants: nt.antsFlat[start:len(nt.antsFlat):len(nt.antsFlat)],
-		})
-		for _, cl := range c.Classes() {
-			nt.internClass(cl)
-		}
+		ords[i] = nt.add(c)
 	}
-
 	nt.patchAdjacency(oldPreds)
-	return nt, ords
-}
-
-// promote builds the lineage's shared concurrent maps from the receiver's
-// plain per-generation maps. Concurrent readers of the receiver are
-// unaffected: its plain maps are only read here, and the receiver keeps
-// using them — only patched generations resolve through the shared maps.
-func (t *Table) promote() *liveMaps {
-	if t.frz != nil {
-		// A restored table has no plain maps to promote: pre-snapshot
-		// symbols keep resolving through the frozen tables behind the
-		// lineage's shared maps, which start empty and only ever hold
-		// post-snapshot symbols. Only the signature-bucket membership is
-		// materialized, from the predicate→signature array.
-		lm := &liveMaps{
-			sigMembers: make(map[int32][]PredID, t.nSigs),
-			nextSig:    int32(t.nSigs),
-		}
-		for id, sig := range t.predSig {
-			lm.sigMembers[sig] = append(lm.sigMembers[sig], PredID(id))
-		}
-		return lm
-	}
-	lm := &liveMaps{
-		sigMembers: make(map[int32][]PredID, len(t.sigIDs)),
-		nextSig:    int32(len(t.sigIDs)),
-	}
-	for name, id := range t.classIDs {
-		lm.classIDs.Store(name, id)
-	}
-	for k, id := range t.attrIDs {
-		lm.attrIDs.Store(k, id)
-	}
-	for k, id := range t.sigIDs {
-		lm.sigIDs.Store(k, id)
-	}
-	for c, ord := range t.ordOf {
-		lm.ordOf.Store(c, ord)
-	}
-	// PredIDs ascend, so appending in ID order keeps buckets sorted.
-	for id, sig := range t.predSig {
-		lm.sigMembers[sig] = append(lm.sigMembers[sig], PredID(id))
-	}
-	return lm
+	return &nt, ords
 }
 
 // patchAdjacency extends the catalog-level implication adjacency with the
@@ -125,7 +58,7 @@ func (t *Table) promote() *liveMaps {
 // the prior generations. Rows stay ascending: a new predicate's ID exceeds
 // every member of its bucket, so appending preserves order.
 func (t *Table) patchAdjacency(oldPreds int) {
-	newPreds := t.pool.Len()
+	newPreds := len(t.preds)
 	if newPreds == oldPreds {
 		return
 	}
@@ -141,10 +74,10 @@ func (t *Table) patchAdjacency(oldPreds int) {
 	for id := oldPreds; id < newPreds; id++ {
 		pid := PredID(id)
 		sig := t.predSig[id]
-		members := t.live.sigMembers[sig]
-		p := t.pool.At(id)
+		members := t.over.sigMembers[sig]
+		p := t.preds[id]
 		for _, m := range members {
-			pm := t.pool.At(int(m))
+			pm := t.preds[m]
 			if p.Implies(pm) {
 				fwd[pid] = append(fwd[pid], m)
 				if int(m) < oldPreds && !ownedRev[m] {
@@ -164,7 +97,7 @@ func (t *Table) patchAdjacency(oldPreds int) {
 				}
 			}
 		}
-		t.live.sigMembers[sig] = append(members, pid)
+		t.over.sigMembers[sig] = append(members, pid)
 	}
 	t.fwd, t.rev = fwd, rev
 }

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"sqo/internal/constraint"
@@ -153,4 +154,53 @@ func TestPatchConcurrentReads(t *testing.T) {
 		})
 	}
 	<-done
+}
+
+// overlayEntries counts the symbols a lineage's overlay holds, across all of
+// its maps.
+func overlayEntries(tab *Table) int {
+	if tab.over == nil {
+		return 0
+	}
+	n := 0
+	for _, m := range []*sync.Map{&tab.over.classIDs, &tab.over.attrIDs, &tab.over.sigIDs, &tab.over.predIDs, &tab.over.ordOf} {
+		m.Range(func(any, any) bool { n++; return true })
+	}
+	return n
+}
+
+// TestFirstPatchOverlayHoldsOnlyTheDelta is the counted gate on a
+// lineage's first patch: it must cost O(|delta|), not copy the base into
+// the overlay. The added rule reuses an existing antecedent, classes,
+// attribute and signature and mints exactly one predicate (its consequent)
+// and one ordinal, so the overlay must hold exactly those two entries.
+func TestFirstPatchOverlayHoldsOnlyTheDelta(t *testing.T) {
+	sch, cat := testWorld(t)
+	t0 := Compile(sch, cat.All())
+	rule := constraint.New("c5",
+		[]predicate.Predicate{predicate.Sel("cargo", "weight", predicate.GT, value.Int(100))},
+		[]string{"collects"},
+		predicate.Sel("vehicle", "capacity", predicate.GE, value.Int(5)))
+
+	t1, ords := t0.Patch([]*constraint.Constraint{rule})
+	if got := overlayEntries(t1); got != 2 {
+		t.Fatalf("first patch left %d overlay entries, want 2 (one predicate, one ordinal)", got)
+	}
+	if t1.NumClasses() != t0.NumClasses() || t1.NumAttrs() != t0.NumAttrs() || t1.NumSigs() != t0.NumSigs() {
+		t.Fatal("the rule was meant to mint no class, attribute or signature")
+	}
+	if ord, ok := t1.Ordinal(rule); !ok || ord != int(ords[0]) || ord != cat.Len() {
+		t.Fatalf("Ordinal(new rule) = %d, %v; want %d", ord, ok, cat.Len())
+	}
+	if id, ok := t1.PredID(rule.Consequent); !ok || int(id) != t0.NumPreds() {
+		t.Fatalf("PredID(new consequent) = %d, %v; want %d", id, ok, t0.NumPreds())
+	}
+	if _, ok := t0.Ordinal(rule); ok {
+		t.Fatal("the base generation resolves a rule its lineage added later")
+	}
+	for i, c := range cat.All() {
+		if ord, ok := t1.Ordinal(c); !ok || ord != i {
+			t.Fatalf("base constraint %s resolves to %d, %v through the patched generation", c.ID, ord, ok)
+		}
+	}
 }

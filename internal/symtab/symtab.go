@@ -15,15 +15,18 @@
 // that rebuilds), alongside the constraint index; Patch derives the next
 // generation of a delta by structural sharing.
 //
-// A Table is immutable after Compile and safe for unbounded concurrent use.
-// String forms stay available through the accessors for display, traces and
-// tests; only the hot path switches to IDs.
+// Compiled, restored and patched generations resolve names one way: the
+// base's frozen tables, behind an overlay holding only what patches minted
+// (see Table). A Table is immutable once built and safe for unbounded
+// concurrent use. String forms stay available through the accessors for
+// display, traces and tests; only the hot path switches to IDs.
 package symtab
 
 import (
 	"sync"
 
 	"sqo/internal/constraint"
+	"sqo/internal/frozen"
 	"sqo/internal/predicate"
 	"sqo/internal/schema"
 )
@@ -34,8 +37,8 @@ type ClassID int32
 // AttrID is the dense ID of an interned (class, attribute) pair.
 type AttrID int32
 
-// PredID is the dense ID of an interned canonical predicate — the pool
-// ordinal of the catalog's predicate pool.
+// PredID is the dense ID of an interned canonical predicate: its position in
+// the table's predicate space (the paper's predicate pool).
 type PredID int32
 
 // None is the sentinel for "not interned" in all three ID spaces.
@@ -73,24 +76,25 @@ func sigOf(p predicate.Predicate) sigKey {
 
 // Table is the interned symbol space of one catalog generation.
 //
-// A table built by Compile is fully immutable. Patch grows a table into a
-// *lineage*: the patched generations share append-only backing arrays and a
-// set of concurrent-read-safe symbol maps (liveMaps), while each generation's
-// slice headers freeze its own view. Untouched IDs are stable across every
-// generation of a lineage; removals leave tombstones (the symbols and
-// compiled rows of a removed constraint simply stop being referenced), so a
-// re-added symbol reuses its old ID. See Patch.
+// Every name resolves one way, whatever built the generation: through the
+// overlay when the generation is patched, then through the base. The base
+// is the frozen open-addressing tables (package frozen) of the generation a
+// lineage started from — grown by Compile as it mints IDs, or adopted from a
+// snapshot by FromImage — and never changes afterwards. Patch grows a table
+// into a *lineage*: the patched generations share append-only backing arrays
+// and one overlay of concurrent-read-safe maps holding only the symbols
+// minted after the base, while each generation's slice headers freeze its
+// own view. Untouched IDs are stable across every generation of a lineage;
+// removals leave tombstones (the symbols and compiled rows of a removed
+// constraint simply stop being referenced), so a re-added symbol reuses its
+// old ID. See Patch.
 type Table struct {
 	classNames []string
-	classIDs   map[string]ClassID
+	attrKeys   []attrKey
 
-	attrKeys []attrKey
-	attrIDs  map[attrKey]AttrID
-
-	pool    *predicate.Pool // PredID space; first-occurrence catalog order
-	predSig []int32         // PredID -> signature ordinal
-	sigIDs  map[sigKey]int32
-	nSigs   int // number of distinct signatures in this generation
+	preds   []predicate.Predicate // PredID space; first-occurrence catalog order
+	predSig []int32               // PredID -> signature ordinal
+	nSigs   int                   // number of distinct signatures in this generation
 
 	// Implication adjacency among the pooled predicates, computed once per
 	// generation: fwd[i] lists the PredIDs predicate i implies (ascending),
@@ -101,31 +105,31 @@ type Table struct {
 
 	compiled []Compiled
 	antsFlat []PredID
-	ordOf    map[*constraint.Constraint]int32
 
-	// live, when non-nil, marks a patched generation: symbol resolution
-	// goes through the lineage's shared concurrent maps instead of the
-	// plain per-generation maps above (which are nil then). Compile-built
-	// tables have live == nil and pay no overhead beyond the nil check.
-	live *liveMaps
-
-	// frz, when non-nil, marks a snapshot-restored generation: the plain
-	// maps are nil and pre-snapshot symbols resolve through frozen
-	// open-addressing tables loaded straight from the snapshot file (see
-	// image.go) — the restore path never rebuilds a Go map. A lineage
-	// patched from a restored table keeps frz as the fallback behind the
-	// shared live maps, which then hold only post-snapshot symbols.
-	frz *frozenLookups
+	base *base    // symbols of the lineage's base generation; shared, frozen
+	over *overlay // symbols minted by the lineage's patches; nil until the first
 }
 
-// liveMaps is the shared symbol store of one mutable lineage: sync.Maps are
+// base is the frozen symbol resolution of a lineage's base generation: one
+// open-addressing table per symbol space, probing into the Table's backing
+// arrays (and the two arrays here) for equality confirmation.
+type base struct {
+	classes, attrs, sigs, preds, ords frozen.Table
+
+	sigRep  []PredID // per signature ordinal: a pooled predicate bearing it
+	ordKeys []string // per base ordinal: constraint key; "" = tombstone
+}
+
+// overlay is the shared symbol store of one patched lineage: sync.Maps are
 // safe for unbounded concurrent lookups from every generation while the
 // newest generation (patches are serialized by the caller) keeps inserting.
-// IDs are append-only, so an entry, once stored, never changes.
-type liveMaps struct {
+// It holds only what the lineage's patches minted; IDs are append-only, so
+// an entry, once stored, never changes.
+type overlay struct {
 	classIDs sync.Map // string -> ClassID
 	attrIDs  sync.Map // attrKey -> AttrID
 	sigIDs   sync.Map // sigKey -> int32
+	predIDs  sync.Map // predicate key -> PredID
 	ordOf    sync.Map // *constraint.Constraint -> int32
 
 	// sigMembers lists the pooled PredIDs of each signature bucket,
@@ -133,20 +137,25 @@ type liveMaps struct {
 	// edges of a newly interned predicate. Mutation-side only (guarded by
 	// the caller's patch serialization); never read while serving.
 	sigMembers map[int32][]PredID
-	nextSig    int32
 }
 
 // Compile interns the symbol space of a catalog generation: the schema's
 // classes and attributes (when a schema is given — queries are validated
 // against it, so this makes every query symbol resolvable), plus everything
 // the constraints mention. The constraint slice order is the catalog order;
-// Compiled entries are parallel to it.
+// Compiled entries are parallel to it. The result is the base of a new
+// lineage: its frozen tables grow as IDs are minted and end at the size a
+// snapshot writer would give them.
 func Compile(sch *schema.Schema, all []*constraint.Constraint) *Table {
+	occurrences := 0
+	for _, c := range all {
+		occurrences += 1 + len(c.Antecedents)
+	}
 	t := &Table{
-		classIDs: make(map[string]ClassID),
-		attrIDs:  make(map[attrKey]AttrID),
-		sigIDs:   make(map[sigKey]int32),
-		ordOf:    make(map[*constraint.Constraint]int32, len(all)),
+		preds:    make([]predicate.Predicate, 0, occurrences),
+		compiled: make([]Compiled, 0, len(all)),
+		antsFlat: make([]PredID, 0, occurrences-len(all)),
+		base:     &base{ords: frozen.New(len(all)), ordKeys: make([]string, 0, len(all))},
 	}
 
 	if sch != nil {
@@ -158,121 +167,106 @@ func Compile(sch *schema.Schema, all []*constraint.Constraint) *Table {
 		}
 	}
 
-	occurrences := 0
 	for _, c := range all {
-		occurrences += 1 + len(c.Antecedents)
+		t.add(c)
 	}
-	t.pool = predicate.NewPoolSize(occurrences)
-	t.antsFlat = make([]PredID, 0, occurrences-len(all))
-	t.compiled = make([]Compiled, len(all))
-
-	for i, c := range all {
-		t.ordOf[c] = int32(i)
-		start := len(t.antsFlat)
-		for _, a := range c.Antecedents {
-			t.antsFlat = append(t.antsFlat, t.internPred(a))
-		}
-		t.compiled[i] = Compiled{
-			Cons: t.internPred(c.Consequent),
-			Ants: t.antsFlat[start:len(t.antsFlat):len(t.antsFlat)],
-		}
-		for _, cl := range c.Classes() {
-			t.internClass(cl)
-		}
-	}
-
 	t.buildAdjacency()
-	t.nSigs = len(t.sigIDs)
 	return t
 }
 
-func (t *Table) internClass(name string) ClassID {
-	if t.live != nil {
-		if id, ok := t.live.classIDs.Load(name); ok {
-			return id.(ClassID)
-		}
-		if t.frz != nil {
-			if id, ok := t.frzClass(name); ok {
-				return id
-			}
-		}
-		id := ClassID(len(t.classNames))
-		t.live.classIDs.Store(name, id)
-		t.classNames = append(t.classNames, name)
-		return id
+// add and the intern functions mint what the generation cannot resolve yet.
+// Compile records it in the base's frozen tables, a patch in the overlay.
+
+// add compiles c at the next ordinal, interning its antecedents, consequent
+// and classes in that order, which fixes the transformation table's column
+// numbering.
+func (t *Table) add(c *constraint.Constraint) int32 {
+	ord := int32(len(t.compiled))
+	if t.over != nil {
+		t.over.ordOf.Store(c, ord)
+	} else {
+		t.base.ordKeys = append(t.base.ordKeys, c.Key())
+		t.base.ords.Insert(c.KeyHash(), ord)
 	}
-	if id, ok := t.classIDs[name]; ok {
+	start := len(t.antsFlat)
+	for _, a := range c.Antecedents {
+		t.antsFlat = append(t.antsFlat, t.internPred(a))
+	}
+	t.compiled = append(t.compiled, Compiled{
+		Cons: t.internPred(c.Consequent),
+		Ants: t.antsFlat[start:len(t.antsFlat):len(t.antsFlat)],
+	})
+	for _, cl := range c.Classes() {
+		t.internClass(cl)
+	}
+	return ord
+}
+
+func (t *Table) internClass(name string) ClassID {
+	if id, ok := t.ClassID(name); ok {
 		return id
 	}
 	id := ClassID(len(t.classNames))
-	t.classIDs[name] = id
 	t.classNames = append(t.classNames, name)
+	if t.over != nil {
+		t.over.classIDs.Store(name, id)
+	} else {
+		t.base.classes.Add(hashClass(name), int32(id), func(id int32) uint64 { return hashClass(t.classNames[id]) })
+	}
 	return id
 }
 
 func (t *Table) internAttr(class, attr string) AttrID {
 	k := attrKey{class, attr}
-	if t.live != nil {
-		if id, ok := t.live.attrIDs.Load(k); ok {
-			return id.(AttrID)
-		}
-		if t.frz != nil {
-			if id, ok := t.frzAttr(k); ok {
-				return id
-			}
-		}
-		id := AttrID(len(t.attrKeys))
-		t.live.attrIDs.Store(k, id)
-		t.attrKeys = append(t.attrKeys, k)
-		return id
-	}
-	if id, ok := t.attrIDs[k]; ok {
+	if id, ok := t.AttrID(class, attr); ok {
 		return id
 	}
 	id := AttrID(len(t.attrKeys))
-	t.attrIDs[k] = id
 	t.attrKeys = append(t.attrKeys, k)
+	if t.over != nil {
+		t.over.attrIDs.Store(k, id)
+	} else {
+		t.base.attrs.Add(hashAttr(k), int32(id), func(id int32) uint64 { return hashAttr(t.attrKeys[id]) })
+	}
 	return id
 }
 
-func (t *Table) internSig(k sigKey) int32 {
-	if t.live != nil {
-		if id, ok := t.live.sigIDs.Load(k); ok {
-			return id.(int32)
-		}
-		if t.frz != nil {
-			if id, ok := t.frzSig(k); ok {
-				return id
-			}
-		}
-		id := t.live.nextSig
-		t.live.nextSig++
-		t.live.sigIDs.Store(k, id)
-		t.nSigs = int(t.live.nextSig)
+// internSig resolves a signature, minting it with rep as its first bearer.
+func (t *Table) internSig(k sigKey, rep PredID) int32 {
+	if id, ok := t.sigOrdinal(k); ok {
 		return id
 	}
-	if id, ok := t.sigIDs[k]; ok {
-		return id
+	id := int32(t.nSigs)
+	t.nSigs++
+	if t.over != nil {
+		t.over.sigIDs.Store(k, id)
+	} else {
+		t.base.sigRep = append(t.base.sigRep, rep)
+		t.base.sigs.Add(hashSig(k), id, func(id int32) uint64 { return hashSig(sigOf(t.preds[t.base.sigRep[id]])) })
 	}
-	id := int32(len(t.sigIDs))
-	t.sigIDs[k] = id
 	return id
 }
 
 // internPred interns one predicate, its attributes and its signature.
 func (t *Table) internPred(p predicate.Predicate) PredID {
-	before := t.pool.Len()
-	id := t.pool.Intern(p)
-	if id == before { // newly interned
-		t.internClass(p.Left.Class)
-		t.internAttr(p.Left.Class, p.Left.Attr)
-		if p.IsJoin() {
-			t.internClass(p.RightAttr.Class)
-			t.internAttr(p.RightAttr.Class, p.RightAttr.Attr)
-		}
-		t.predSig = append(t.predSig, t.internSig(sigOf(p)))
+	if id, ok := t.PredID(p); ok {
+		return id
 	}
-	return PredID(id)
+	id := PredID(len(t.preds))
+	t.preds = append(t.preds, p)
+	if t.over != nil {
+		t.over.predIDs.Store(p.Key(), id)
+	} else {
+		t.base.preds.Add(hashPred(p), int32(id), func(id int32) uint64 { return hashPred(t.preds[id]) })
+	}
+	t.internClass(p.Left.Class)
+	t.internAttr(p.Left.Class, p.Left.Attr)
+	if p.IsJoin() {
+		t.internClass(p.RightAttr.Class)
+		t.internAttr(p.RightAttr.Class, p.RightAttr.Attr)
+	}
+	t.predSig = append(t.predSig, t.internSig(sigOf(p), id))
+	return id
 }
 
 // buildAdjacency computes the implication adjacency among the pooled
@@ -280,10 +274,10 @@ func (t *Table) internPred(p predicate.Predicate) PredID {
 // operand pairs). O(Σ bucketᵢ²) once per generation, amortized over every
 // query served against it.
 func (t *Table) buildAdjacency() {
-	m := t.pool.Len()
+	m := len(t.preds)
 	t.fwd = make([][]PredID, m)
 	t.rev = make([][]PredID, m)
-	buckets := make(map[int32][]PredID, len(t.sigIDs))
+	buckets := make(map[int32][]PredID, t.nSigs)
 	for id := 0; id < m; id++ {
 		sig := t.predSig[id]
 		buckets[sig] = append(buckets[sig], PredID(id))
@@ -293,9 +287,9 @@ func (t *Table) buildAdjacency() {
 			continue
 		}
 		for _, i := range ids {
-			pi := t.pool.At(int(i))
+			pi := t.preds[i]
 			for _, j := range ids {
-				if i != j && pi.Implies(t.pool.At(int(j))) {
+				if i != j && pi.Implies(t.preds[j]) {
 					t.fwd[i] = append(t.fwd[i], j)
 				}
 			}
@@ -315,27 +309,25 @@ func (t *Table) NumClasses() int { return len(t.classNames) }
 func (t *Table) NumAttrs() int { return len(t.attrKeys) }
 
 // NumPreds returns the number of interned canonical predicates.
-func (t *Table) NumPreds() int { return t.pool.Len() }
+func (t *Table) NumPreds() int { return len(t.preds) }
 
 // NumSigs returns the number of distinct operand signatures.
 func (t *Table) NumSigs() int { return t.nSigs }
 
-// ClassID resolves a class name; ok is false when the generation never
-// interned it.
+// ClassID resolves a class name; ok is false when the lineage never
+// interned it. Like every lookup below, a generation can resolve a symbol a
+// later generation of its lineage minted; callers bound IDs by their
+// generation's counts where that matters.
 func (t *Table) ClassID(name string) (ClassID, bool) {
-	if t.live != nil {
-		if v, ok := t.live.classIDs.Load(name); ok {
+	if t.over != nil {
+		if v, ok := t.over.classIDs.Load(name); ok {
 			return v.(ClassID), true
 		}
-		if t.frz == nil {
-			return None, false
-		}
 	}
-	if t.frz != nil {
-		return t.frzClass(name)
-	}
-	id, ok := t.classIDs[name]
-	return id, ok
+	id, ok := t.base.classes.Find(hashClass(name), func(id int32) bool {
+		return t.classNames[id] == name
+	})
+	return ClassID(id), ok
 }
 
 // ClassName returns the name of an interned class.
@@ -343,19 +335,16 @@ func (t *Table) ClassName(id ClassID) string { return t.classNames[id] }
 
 // AttrID resolves a (class, attribute) pair.
 func (t *Table) AttrID(class, attr string) (AttrID, bool) {
-	if t.live != nil {
-		if v, ok := t.live.attrIDs.Load(attrKey{class, attr}); ok {
+	k := attrKey{class, attr}
+	if t.over != nil {
+		if v, ok := t.over.attrIDs.Load(k); ok {
 			return v.(AttrID), true
 		}
-		if t.frz == nil {
-			return None, false
-		}
 	}
-	if t.frz != nil {
-		return t.frzAttr(attrKey{class, attr})
-	}
-	id, ok := t.attrIDs[attrKey{class, attr}]
-	return id, ok
+	id, ok := t.base.attrs.Find(hashAttr(k), func(id int32) bool {
+		return t.attrKeys[id] == k
+	})
+	return AttrID(id), ok
 }
 
 // AttrName returns the (class, attribute) pair of an interned attribute.
@@ -367,16 +356,20 @@ func (t *Table) AttrName(id AttrID) (class, attr string) {
 // PredID resolves a canonical predicate. The lookup hashes the predicate's
 // construction-time cached key; it never allocates.
 func (t *Table) PredID(p predicate.Predicate) (PredID, bool) {
-	id, ok := t.pool.Lookup(p)
+	key := p.Key()
+	if t.over != nil {
+		if v, ok := t.over.predIDs.Load(key); ok {
+			return v.(PredID), true
+		}
+	}
+	id, ok := t.base.preds.Find(hashPred(p), func(id int32) bool {
+		return t.preds[id].Key() == key
+	})
 	return PredID(id), ok
 }
 
 // Pred returns the predicate with the given ID.
-func (t *Table) Pred(id PredID) predicate.Predicate { return t.pool.At(int(id)) }
-
-// Pool exposes the underlying predicate pool (read-only) — the paper's
-// pointer-compression structure for materialized closures.
-func (t *Table) Pool() *predicate.Pool { return t.pool }
+func (t *Table) Pred(id PredID) predicate.Predicate { return t.preds[id] }
 
 // SigOrdinal returns the signature ordinal of an interned predicate. Two
 // predicates can imply one another only when their ordinals are equal.
@@ -386,19 +379,18 @@ func (t *Table) SigOrdinal(id PredID) int32 { return t.predSig[id] }
 // interned or not; ok is false when no catalog predicate shares its
 // signature (such a predicate can only imply query-private peers).
 func (t *Table) SigOrdinalOf(p predicate.Predicate) (int32, bool) {
-	if t.live != nil {
-		if v, ok := t.live.sigIDs.Load(sigOf(p)); ok {
+	return t.sigOrdinal(sigOf(p))
+}
+
+func (t *Table) sigOrdinal(k sigKey) (int32, bool) {
+	if t.over != nil {
+		if v, ok := t.over.sigIDs.Load(k); ok {
 			return v.(int32), true
 		}
-		if t.frz == nil {
-			return 0, false
-		}
 	}
-	if t.frz != nil {
-		return t.frzSig(sigOf(p))
-	}
-	id, ok := t.sigIDs[sigOf(p)]
-	return id, ok
+	return t.base.sigs.Find(hashSig(k), func(id int32) bool {
+		return sigOf(t.preds[t.base.sigRep[id]]) == k
+	})
 }
 
 // Implies returns the PredIDs that predicate id implies, ascending. The
@@ -409,25 +401,29 @@ func (t *Table) Implies(id PredID) []PredID { return t.fwd[id] }
 func (t *Table) ImpliedBy(id PredID) []PredID { return t.rev[id] }
 
 // Ordinal returns the catalog ordinal of a constraint of this generation;
-// ok is false for foreign constraints (including constraints a later
-// generation of the same lineage appended after this one was taken).
+// ok is false for constraints the generation never held (including those a
+// later generation of the same lineage appended after this one was taken).
+// The overlay, keyed by constraint pointer, is read first, so a constraint a
+// patch re-added resolves to its new ordinal; the base is keyed by
+// constraint key, so any constraint equal to a base constraint resolves to
+// that one's ordinal.
 func (t *Table) Ordinal(c *constraint.Constraint) (int, bool) {
-	if t.live != nil {
-		if v, ok := t.live.ordOf.Load(c); ok {
-			if int(v.(int32)) >= len(t.compiled) {
-				return 0, false
+	if t.over != nil {
+		if v, ok := t.over.ordOf.Load(c); ok {
+			if ord := int(v.(int32)); ord < len(t.compiled) {
+				return ord, true
 			}
-			return int(v.(int32)), true
-		}
-		if t.frz == nil {
 			return 0, false
 		}
 	}
-	if t.frz != nil {
-		return t.frzOrd(c)
+	key := c.Key()
+	ord, ok := t.base.ords.Find(c.KeyHash(), func(id int32) bool {
+		return t.base.ordKeys[id] == key
+	})
+	if !ok {
+		return 0, false
 	}
-	ord, ok := t.ordOf[c]
-	return int(ord), ok
+	return int(ord), true
 }
 
 // CompiledAt returns the ID form of the constraint at a catalog ordinal.

@@ -1,6 +1,7 @@
 package symtab
 
 import (
+	"reflect"
 	"testing"
 
 	"sqo/internal/constraint"
@@ -190,5 +191,35 @@ func TestNilSchemaCompile(t *testing.T) {
 				t.Fatalf("class %q not interned", cl)
 			}
 		}
+	}
+}
+
+// TestCompileTablesMatchImage: Compile grows its frozen tables as it mints
+// IDs, and must end at the exact-size tables Image writes for the same
+// symbols, so a compiled and a restored base are one structure.
+func TestCompileTablesMatchImage(t *testing.T) {
+	sch, cat := testWorld(t)
+	st := Compile(sch, cat.All())
+	ordKeys := make([]string, cat.Len())
+	for i, c := range cat.All() {
+		ordKeys[i] = c.Key()
+	}
+	img := st.Image(ordKeys)
+	for _, tc := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"classes", st.base.classes.Slots(), img.ClassSlots},
+		{"attrs", st.base.attrs.Slots(), img.AttrSlots},
+		{"sigs", st.base.sigs.Slots(), img.SigSlots},
+		{"preds", st.base.preds.Slots(), img.PoolSlots},
+		{"ords", st.base.ords.Slots(), img.OrdSlots},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s: compiled slots %v, image slots %v", tc.name, tc.got, tc.want)
+		}
+	}
+	if !reflect.DeepEqual(st.base.sigRep, img.SigRep) {
+		t.Errorf("sigRep: compiled %v, image %v", st.base.sigRep, img.SigRep)
 	}
 }

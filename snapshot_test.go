@@ -77,11 +77,30 @@ func TestSnapshotRestoreDifferential(t *testing.T) {
 	t.Logf("snapshot differential: %d query comparisons", total)
 }
 
+// sameSnapshot requires the restored engine to write the very bytes the
+// original writes: one engine state has one snapshot file, whichever way
+// (compiled, patched, restored) its symbol space was built.
+func sameSnapshot(t *testing.T, label string, restored, eng *sqo.Engine) {
+	t.Helper()
+	var want, got bytes.Buffer
+	if _, err := eng.SaveSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.SaveSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("%s: restored engine writes a %d-byte snapshot that differs from the original's %d bytes",
+			label, got.Len(), want.Len())
+	}
+}
+
 // runSnapshotDifferential compares restored-vs-original over the workload at
 // three lifecycle points: a freshly compiled generation, a delta-mutated
 // generation carrying tombstones, and a restored generation mutated further
 // (the restored ordinal space must seed the delta lineage exactly where the
-// saved one left off).
+// saved one left off). At each point the two engines must also write the
+// same snapshot bytes.
 func runSnapshotDifferential(t *testing.T, label string, sch *sqo.Schema, cat *sqo.Catalog, qs []*sqo.Query) int {
 	t.Helper()
 	eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
@@ -91,6 +110,7 @@ func runSnapshotDifferential(t *testing.T, label string, sch *sqo.Schema, cat *s
 	checked := 0
 
 	restored := saveRestore(t, eng, sch)
+	sameSnapshot(t, label+" compiled", restored, eng)
 	for _, q := range qs {
 		diffDelta(t, label+" compiled", restored, eng, q)
 		checked++
@@ -105,6 +125,7 @@ func runSnapshotDifferential(t *testing.T, label string, sch *sqo.Schema, cat *s
 		t.Fatalf("%s: mutate: %+v, %v", label, rep, err)
 	}
 	restored = saveRestore(t, eng, sch)
+	sameSnapshot(t, label+" tombstoned", restored, eng)
 	for _, q := range qs {
 		diffDelta(t, label+" tombstoned", restored, eng, q)
 		checked++
@@ -119,6 +140,7 @@ func runSnapshotDifferential(t *testing.T, label string, sch *sqo.Schema, cat *s
 	if rep, err := restored.UpdateCatalog(d2); err != nil || !rep.Incremental {
 		t.Fatalf("%s: post-restore mutate restored: %+v, %v", label, rep, err)
 	}
+	sameSnapshot(t, label+" mutated-after-restore", restored, eng)
 	for _, q := range qs {
 		diffDelta(t, label+" mutated-after-restore", restored, eng, q)
 		checked++

@@ -13,7 +13,6 @@ import (
 	"sqo"
 	"sqo/internal/core"
 	"sqo/internal/datagen"
-	"sqo/internal/index"
 )
 
 // uncachedAllocBudget bounds allocs/op for one full uncached optimization of
@@ -98,42 +97,6 @@ func TestUncachedOptimizeAllocBudget(t *testing.T) {
 	})
 	if allocs > uncachedAllocBudget {
 		t.Errorf("uncached Engine.Optimize = %.1f allocs/op, budget %d", allocs, uncachedAllocBudget)
-	}
-}
-
-// TestStringSpaceFallbackStillWorks: the string-space path core runs for a
-// source that exposes no symbol space keeps producing identical output —
-// scratch reuse covers both paths, so its allocation count is also bounded;
-// what interning removes at this catalog size is per-query string hashing,
-// which `sqobench -exp interning` measures.
-func TestStringSpaceFallbackStillWorks(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the non-race CI job runs this")
-	}
-	sch := datagen.Schema()
-	cat := datagen.Constraints()
-	q := figure23Query()
-
-	interned := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, sqo.Options{})
-	fallback := core.NewOptimizer(sch, index.Scan{Catalog: cat}, sqo.Options{})
-	ri, err := interned.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := fallback.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ri.Optimized.String(), rf.Optimized.String(); got != want {
-		t.Fatalf("interned and string-space outputs diverge:\n%s\n%s", got, want)
-	}
-	ai := testing.AllocsPerRun(200, func() { interned.Optimize(q) }) //nolint:errcheck
-	af := testing.AllocsPerRun(200, func() { fallback.Optimize(q) }) //nolint:errcheck
-	if ai > af {
-		t.Errorf("interned path allocates %.1f/op, more than the string-space fallback's %.1f/op", ai, af)
-	}
-	if af > uncachedAllocBudget {
-		t.Errorf("string-space fallback = %.1f allocs/op, budget %d", af, uncachedAllocBudget)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 
 	"sqo"
 	"sqo/internal/bench"
+	"sqo/internal/closure"
 	"sqo/internal/core"
 	"sqo/internal/datagen"
+	"sqo/internal/groups"
 	"sqo/internal/index"
 )
 
@@ -184,11 +186,11 @@ func BenchmarkGroupingPolicies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, policy := range []sqo.GroupPolicy{sqo.GroupArbitrary, sqo.GroupLeastAccessed, sqo.GroupEvenSpread} {
+	for _, policy := range []groups.Policy{groups.Arbitrary, groups.LeastAccessed, groups.EvenSpread} {
 		policy := policy
 		b.Run(policy.String(), func(b *testing.B) {
-			stats := sqo.NewAccessStats()
-			store := sqo.NewGroupStore(cat, policy, stats)
+			stats := groups.NewAccessStats()
+			store := groups.NewStore(cat, policy, stats)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				store.Retrieve(workload[i%len(workload)])
@@ -203,7 +205,7 @@ func BenchmarkClosureMaterialize(b *testing.B) {
 	cat := sqo.LogisticsConstraints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := sqo.MaterializeClosure(cat, sqo.ClosureOptions{}); err != nil {
+		if _, _, _, err := closure.Materialize(cat, closure.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,8 +359,7 @@ var catalogScales = []struct {
 func BenchmarkIndexLookup(b *testing.B) {
 	for _, scale := range catalogScales {
 		w := scaledWorld(b, scale.n)
-		ix := sqo.NewConstraintIndex(w.cat)
-		scan := index.Scan{Catalog: w.cat}
+		ix := index.New(w.cat)
 		b.Run("catalog="+scale.name+"/impl=index", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ix.Relevant(w.queries[i%len(w.queries)])
@@ -366,7 +367,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 		})
 		b.Run("catalog="+scale.name+"/impl=scan", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				scan.Relevant(w.queries[i%len(w.queries)])
+				w.cat.RelevantTo(w.queries[i%len(w.queries)])
 			}
 		})
 	}

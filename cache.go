@@ -38,10 +38,8 @@ type resultCache struct {
 
 	// byClass files every entry under each class of its query, so an
 	// update reaches the entries a constraint can touch through the
-	// constraint's classes. undeps holds the entries whose dependency set
-	// is unknown instead; every update visits and drops them.
+	// constraint's classes.
 	byClass map[string]map[*list.Element]struct{}
-	undeps  map[*list.Element]struct{}
 
 	// visited counts the entries update sweeps have examined (guarded by
 	// mu): the counted work of cache invalidation.
@@ -73,7 +71,6 @@ func newResultCache(capacity int) *resultCache {
 		order:   list.New(),
 		items:   make(map[QueryFingerprint]*list.Element, capacity),
 		byClass: make(map[string]map[*list.Element]struct{}),
-		undeps:  make(map[*list.Element]struct{}),
 	}
 }
 
@@ -158,15 +155,9 @@ func (c *resultCache) remove(el *list.Element) {
 	c.unfile(el)
 }
 
-// file adds an element to the postings of its query's classes, or to
-// undeps when its dependency set is unknown.
+// file adds an element to the postings of its query's classes.
 func (c *resultCache) file(el *list.Element) {
-	res := el.Value.(*cacheEntry).res
-	if res.Deps() == nil {
-		c.undeps[el] = struct{}{}
-		return
-	}
-	for _, cl := range res.Original.Classes {
+	for _, cl := range el.Value.(*cacheEntry).res.Original.Classes {
 		set := c.byClass[cl]
 		if set == nil {
 			set = make(map[*list.Element]struct{})
@@ -178,12 +169,7 @@ func (c *resultCache) file(el *list.Element) {
 
 // unfile reverses file.
 func (c *resultCache) unfile(el *list.Element) {
-	res := el.Value.(*cacheEntry).res
-	if res.Deps() == nil {
-		delete(c.undeps, el)
-		return
-	}
-	for _, cl := range res.Original.Classes {
+	for _, cl := range el.Value.(*cacheEntry).res.Original.Classes {
 		if set := c.byClass[cl]; set != nil {
 			delete(set, el)
 			if len(set) == 0 {
@@ -291,7 +277,6 @@ func (c *resultCache) purge(epoch uint64) int {
 		clear(c.gens)
 	}
 	clear(c.byClass)
-	clear(c.undeps)
 	return n
 }
 
@@ -304,9 +289,8 @@ func (c *resultCache) purge(epoch uint64) int {
 // result's dependency set is a subset of its relevant set, so each entry
 // drop can condemn is filed under every class of some touched constraint.
 // The sweep therefore visits, per touched constraint, the smallest posting
-// among its classes, plus the entries with an unknown dependency set.
-// Entries it does not visit keep their place and their born stamp; the
-// fence keeps them serving under the new generation.
+// among its classes. Entries it does not visit keep their place and their
+// born stamp; the fence keeps them serving under the new generation.
 //
 // The caller must run the sweep *before* publishing the new generation:
 // from the moment it returns, puts computed on an older generation are
@@ -327,7 +311,6 @@ func (c *resultCache) update(epoch uint64, drop func(*Result) bool, touched ...[
 			}
 		}
 	}
-	sweep(c.undeps)
 	for _, cons := range touched {
 		for _, con := range cons {
 			var smallest map[*list.Element]struct{}

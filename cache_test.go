@@ -15,9 +15,8 @@ func cacheQuery(class string) *Query {
 	return NewQuery(class).AddProject(class, "a")
 }
 
-// cached builds the result the cache files for q: its Original is q and its
-// dependency set is known (and empty), so the cache files it under q's
-// classes.
+// cached builds the result the cache files for q: its Original is q, so the
+// cache files it under q's classes, and its dependency set is empty.
 func cached(q *Query) *Result {
 	return core.ComposeResult(q, q, false, nil, core.Stats{}, nil, []int32{})
 }
@@ -69,7 +68,7 @@ func TestCacheCapacityOne(t *testing.T) {
 func TestCacheEpochBumpConcurrent(t *testing.T) {
 	c := newResultCache(128)
 	classes := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	oldRes, newRes := &Result{}, &Result{}
+	oldRes, newRes := cached(cacheQuery("a")), cached(cacheQuery("a"))
 
 	var purged atomic.Bool
 	var wg sync.WaitGroup
@@ -126,22 +125,18 @@ func TestCacheEpochBumpConcurrent(t *testing.T) {
 // born on a newer generation is absent to a reader still on an older one.
 func TestCacheUpdateEpochFence(t *testing.T) {
 	c := newResultCache(8)
-	qa, qb, qu := cacheQuery("a"), cacheQuery("b"), cacheQuery("u")
-	// resU's dependency set is unknown: every update drops it.
-	resA, resB, resU := cached(qa), cached(qb), &Result{Original: qu}
+	qa, qb := cacheQuery("a"), cacheQuery("b")
+	resA, resB := cached(qa), cached(qb)
 	c.put(Fingerprint(qa), 1, resA) // the delta cannot reach it: must survive
 	c.put(Fingerprint(qb), 1, resB) // the delta condemns it: must drop
-	c.put(Fingerprint(qu), 1, resU)
 
 	onB := NewConstraint("rb", []Predicate{Eq("b", "x", IntValue(1))}, nil, Eq("b", "y", IntValue(2)))
-	purged, survived := c.update(2, func(r *Result) bool {
-		return r.Deps() == nil || r == resB
-	}, []*Constraint{onB})
-	if purged != 2 || survived != 1 {
-		t.Fatalf("update purged %d / survived %d, want 2/1", purged, survived)
+	purged, survived := c.update(2, func(r *Result) bool { return r == resB }, []*Constraint{onB})
+	if purged != 1 || survived != 1 {
+		t.Fatalf("update purged %d / survived %d, want 1/1", purged, survived)
 	}
-	if c.visited != 2 {
-		t.Fatalf("update visited %d entries, want 2 (the b posting and the unknown-dependency entry)", c.visited)
+	if c.visited != 1 {
+		t.Fatalf("update visited %d entries, want 1 (the b posting)", c.visited)
 	}
 	for _, epoch := range []uint64{1, 2} {
 		if res, ok := c.get(Fingerprint(qa), epoch); !ok || res != resA {
@@ -288,7 +283,7 @@ func TestCacheStatsConsistency(t *testing.T) {
 	)
 	c := newResultCache(capacity)
 	classes := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
-	res := &Result{}
+	res := cached(cacheQuery("a"))
 
 	var wg sync.WaitGroup
 	var gets, puts atomic.Int64

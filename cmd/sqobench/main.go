@@ -9,7 +9,7 @@
 //	sqobench -queries 40 -seed 41
 //
 // Experiments: fig41, table41, table42, grouping, closure, budget,
-// optimizers, complexity, engine, index, interning, endtoend, all.
+// optimizers, complexity, engine, index, endtoend, all.
 package main
 
 import (
@@ -26,7 +26,7 @@ import (
 )
 
 var (
-	exp      = flag.String("exp", "all", "experiment to run (fig41|table41|table42|grouping|closure|budget|optimizers|complexity|engine|index|interning|endtoend|all)")
+	exp      = flag.String("exp", "all", "experiment to run (fig41|table41|table42|grouping|closure|budget|optimizers|complexity|engine|index|endtoend|all)")
 	queries  = flag.Int("queries", 40, "workload size (the paper used 40)")
 	seed     = flag.Int64("seed", 41, "workload selection seed")
 	csvTo    = flag.String("csv", "", "also write the raw per-query Table 4.2 data as CSV to this file")
@@ -123,18 +123,6 @@ func run() error {
 			return err
 		}
 		fmt.Println(bench.RenderIndexScaling(rows))
-	}
-	if all || want == "interning" {
-		ran = true
-		sizes, err := parseSizes(*catalogs)
-		if err != nil {
-			return err
-		}
-		rows, err := bench.RunInterning(sizes, *queries, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderInterning(rows))
 	}
 	if all || want == "endtoend" {
 		ran = true

@@ -110,8 +110,8 @@ type Engine struct {
 // the catalog of one generation paired with the index or symbol space of
 // another.
 type engineState struct {
-	index *ConstraintIndex // inverted retrieval index over the generation
-	syms  *symtab.Table    // interned symbol space of the generation
+	index *index.Index  // inverted retrieval index over the generation
+	syms  *symtab.Table // interned symbol space of the generation
 	opt   *core.Optimizer
 	epoch uint64
 
@@ -601,11 +601,10 @@ func (e *Engine) rebuild(cur *engineState, cat *Catalog) (int, error) {
 }
 
 // purgeCheck builds the surgical invalidation predicate of one delta: drop
-// a cached result when its dependency set contains a removed constraint,
+// a cached result when its dependency set contains a removed constraint, or
 // when an added constraint is relevant to its query (it would change the
-// relevant set, and so possibly the output), or when its dependency set is
-// unknown. Everything else provably optimizes identically under the new
-// generation and survives.
+// relevant set, and so possibly the output). Everything else provably
+// optimizes identically under the new generation and survives.
 func purgeCheck(plan delta.Plan) func(*Result) bool {
 	var maxOrd int32 = -1
 	for _, ord := range plan.RemovedOrds {
@@ -618,11 +617,7 @@ func purgeCheck(plan delta.Plan) func(*Result) bool {
 		removed[ord/64] |= 1 << (ord % 64)
 	}
 	return func(r *Result) bool {
-		deps := r.Deps()
-		if deps == nil {
-			return true
-		}
-		for _, ord := range deps {
+		for _, ord := range r.Deps() {
 			if ord <= maxOrd && removed[ord/64]&(1<<(ord%64)) != 0 {
 				return true
 			}

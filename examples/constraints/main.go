@@ -1,7 +1,7 @@
-// Constraints tours the semantic-knowledge machinery around the optimizer:
-// intra/inter classification, transitive-closure materialization (Section 3
-// / [YuS89]), and the class-attached constraint grouping scheme with its
-// least-frequently-accessed enhancement.
+// Constraints tours the semantic knowledge the optimizer runs on: the
+// catalog's intra/inter classification, then the Engine serving that
+// declared catalog. The paper's closure and grouping schemes are ablations
+// of the evaluation harness: `sqobench -exp closure` and `-exp grouping`.
 package main
 
 import (
@@ -20,23 +20,6 @@ func main() {
 		fmt.Printf("  [%s] %s\n", c.Kind(), c)
 	}
 
-	fmt.Println("\n== transitive closure materialization ==")
-	closed, pool, stats, err := sqo.MaterializeClosure(cat, sqo.ClosureOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("original %d constraints, derived %d more in %d rounds\n",
-		stats.Original, stats.Derived, stats.Rounds)
-	fmt.Printf("predicate interning: %d occurrences -> %d distinct pooled predicates\n",
-		stats.PredOccurrence, stats.PooledPreds)
-	_ = pool
-	for _, c := range closed.All() {
-		if len(c.ID) > 3 { // derived constraints carry composite IDs
-			fmt.Printf("  derived: %s\n", c)
-		}
-	}
-
-	fmt.Println("\n== grouping: only groups attached to queried classes are fetched ==")
 	db, err := sqo.GenerateDatabase(sqo.DB1())
 	if err != nil {
 		log.Fatal(err)
@@ -46,24 +29,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, policy := range []sqo.GroupPolicy{sqo.GroupArbitrary, sqo.GroupLeastAccessed, sqo.GroupEvenSpread} {
-		stats := sqo.NewAccessStats()
-		for _, q := range workload {
-			stats.RecordQuery(q) // warm the access pattern
-		}
-		store := sqo.NewGroupStore(closed, policy, stats)
-		store.Rebuild()
-		for _, q := range workload {
-			store.Retrieve(q)
-		}
-		fmt.Printf("  %-15s retrieved %4d constraints, %4d relevant (%.1f%% wasted)\n",
-			policy, store.Retrieved(), store.Relevant(), 100*store.WasteRatio())
-	}
-	fmt.Println("\nevery policy always retrieves every relevant constraint; the")
-	fmt.Println("least-accessed enhancement just fetches fewer irrelevant ones.")
 
 	// The Engine serves the declared catalog through its inverted index and
-	// needs neither: its transformation table chains constraints at run
+	// needs no closure: its transformation table chains constraints at run
 	// time (DESIGN.md deviation #13), so the closure derives nothing the
 	// optimizer would not reach on its own.
 	fmt.Println("\n== the Engine front door serves the declared catalog ==")

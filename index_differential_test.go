@@ -9,69 +9,59 @@ import (
 	"time"
 
 	"sqo"
+	"sqo/internal/closure"
 	"sqo/internal/core"
-	"sqo/internal/index"
+	"sqo/internal/symtab"
 )
 
-// reference is a core optimizer the engine must agree with, built per world
-// from the schema and declared catalog.
+// reference is an optimizer the engine must agree with, built per world from
+// the schema and declared catalog.
 type reference struct {
 	name  string
-	build func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer
+	build func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) func(*sqo.Query) (*sqo.Result, error)
 }
 
 var (
 	// catalogScan scans the declared catalog in the interned symbol space
 	// core.CatalogSource compiles: retrieval differs from the engine's,
 	// representation does not.
-	catalogScan = reference{"catalog-scan", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
-		return core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, core.Options{})
+	catalogScan = reference{"catalog-scan", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) func(*sqo.Query) (*sqo.Result, error) {
+		return core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, core.Options{}).Optimize
 	}}
-	// stringSpaceIndex retrieves through the constraint index but hides its
-	// symbol space, so core runs its string-keyed transformation table:
-	// representation differs from the engine's, retrieval does not.
-	stringSpaceIndex = reference{"string-space-index", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
-		return stringSpaceOptimizer(t, sch, hiddenSymbols{index.New(cat)})
-	}}
-	// stringScan is a string-space scan of the declared catalog (index.Scan
-	// exposes no symbol space): the pre-index, pre-interning baseline.
-	stringScan = reference{"string-scan", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
-		return stringSpaceOptimizer(t, sch, index.Scan{Catalog: cat})
+	// perQueryCompile scans the declared catalog and compiles, per query, a
+	// symbol space of the relevant constraints plus the query's own
+	// predicates, carried by a constraint the source never retrieves. No
+	// column of its table is query-private, so every implication the
+	// engine derives pairwise for a query-private predicate comes from
+	// symtab's precomputed adjacency here.
+	perQueryCompile = reference{"per-query-compile", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) func(*sqo.Query) (*sqo.Result, error) {
+		return func(q *sqo.Query) (*sqo.Result, error) {
+			relevant := sqo.MustCatalog(cat.RelevantTo(q)...)
+			all := relevant.All()
+			if preds := append(append([]sqo.Predicate(nil), q.Joins...), q.Selects...); len(preds) > 0 {
+				all = append(all, sqo.NewConstraint("query-carrier", preds, nil, preds[0]))
+			}
+			syms := symtab.Compile(sch, all)
+			return core.NewOptimizerSymbols(sch, core.CatalogSource{Catalog: relevant}, syms, core.Options{}).Optimize(q)
+		}
 	}}
 	// closedCatalog optimizes over the catalog's materialized transitive
 	// closure, the paper's [YuS89] preprocessing the engine skips.
-	closedCatalog = reference{"closure", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) *core.Optimizer {
-		closed, _, _, err := sqo.MaterializeClosure(cat, sqo.ClosureOptions{})
+	closedCatalog = reference{"closure", func(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog) func(*sqo.Query) (*sqo.Result, error) {
+		closed, _, _, err := closure.Materialize(cat, closure.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return core.NewOptimizer(sch, core.CatalogSource{Catalog: closed}, core.Options{})
+		return core.NewOptimizer(sch, core.CatalogSource{Catalog: closed}, core.Options{}).Optimize
 	}}
 )
-
-// hiddenSymbols retrieves through the constraint index without exposing its
-// compiled symbol space.
-type hiddenSymbols struct{ ix *index.Index }
-
-func (s hiddenSymbols) Retrieve(q *sqo.Query) []*sqo.Constraint { return s.ix.Retrieve(q) }
-
-func (hiddenSymbols) RetrievesOnlyRelevant() {}
-
-func stringSpaceOptimizer(t testing.TB, sch *sqo.Schema, src core.ConstraintSource) *core.Optimizer {
-	t.Helper()
-	o := core.NewOptimizer(sch, src, core.Options{})
-	if o.Symbols() != nil {
-		t.Fatal("string-space reference unexpectedly runs in an interned symbol space")
-	}
-	return o
-}
 
 // referenceWorld pairs the default engine over a catalog with the references
 // it must agree with.
 type referenceWorld struct {
 	eng  *sqo.Engine
 	refs []reference
-	opts []*core.Optimizer
+	opts []func(*sqo.Query) (*sqo.Result, error)
 }
 
 func newReferenceWorld(t testing.TB, sch *sqo.Schema, cat *sqo.Catalog, refs []reference) referenceWorld {
@@ -100,7 +90,7 @@ func (w referenceWorld) check(t testing.TB, label string, q *sqo.Query) {
 		t.Fatalf("%s: engine optimize: %v\n%s", label, err, q)
 	}
 	for i, ref := range w.refs {
-		want, err := w.opts[i].Optimize(q)
+		want, err := w.opts[i](q)
 		if err != nil {
 			t.Fatalf("%s: %s reference optimize: %v\n%s", label, ref.name, err, q)
 		}
@@ -171,25 +161,19 @@ func referenceSweep(t *testing.T, refs ...reference) {
 }
 
 // TestEngineReferenceDifferential proves the engine — inverted index over
-// the interned symbol space, declared catalog — byte-identical to a
-// string-space catalog scan and to optimization over the materialized
-// closure. The closure reference is the standing proof that the serving
-// path need not materialize closure (DESIGN.md deviation #13).
+// the catalog's symbol space, declared catalog — byte-identical to a
+// catalog scan over a per-query symbol space (perQueryCompile) and to
+// optimization over the materialized closure. The closure reference is the
+// standing proof that the serving path need not materialize closure
+// (DESIGN.md deviation #13).
 func TestEngineReferenceDifferential(t *testing.T) {
-	referenceSweep(t, stringScan, closedCatalog)
+	referenceSweep(t, perQueryCompile, closedCatalog)
 }
 
 // TestIndexScanDifferential isolates retrieval: index-backed and scan-backed
 // optimization in the same interned symbol space must agree.
 func TestIndexScanDifferential(t *testing.T) {
 	referenceSweep(t, catalogScan)
-}
-
-// TestInterningDifferential isolates representation: the interned hot path
-// and the string-space transformation table over the same index retrieval
-// must agree.
-func TestInterningDifferential(t *testing.T) {
-	referenceSweep(t, stringSpaceIndex)
 }
 
 // TestEngineReferenceDifferentialLarge is the nightly 10⁴-constraint
@@ -208,7 +192,7 @@ func TestEngineReferenceDifferentialLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newReferenceWorld(t, sch, cat, []reference{stringScan, closedCatalog})
+	w := newReferenceWorld(t, sch, cat, []reference{perQueryCompile, closedCatalog})
 	for _, q := range qs {
 		w.check(t, "scaled-10000", q)
 	}

@@ -65,7 +65,6 @@ func RunIndexScaling(sizes []int, queries int, seed int64) ([]IndexScalingRow, e
 		buildStart := time.Now()
 		ix := index.New(cat)
 		build := time.Since(buildStart)
-		scan := index.Scan{Catalog: cat}
 
 		row := IndexScalingRow{
 			Constraints: n,
@@ -80,7 +79,7 @@ func RunIndexScaling(sizes []int, queries int, seed int64) ([]IndexScalingRow, e
 		row.AvgRelevant = float64(relevant) / float64(len(qs))
 
 		row.IndexLookupUS = perQueryMicros(qs, func(q *query.Query) { ix.Relevant(q) })
-		row.ScanLookupUS = perQueryMicros(qs, func(q *query.Query) { scan.Relevant(q) })
+		row.ScanLookupUS = perQueryMicros(qs, func(q *query.Query) { cat.RelevantTo(q) })
 
 		optIx := core.NewOptimizer(sch, ix, core.Options{Cost: core.HeuristicCost{Schema: sch}})
 		optScan := core.NewOptimizer(sch, core.CatalogSource{Catalog: cat}, core.Options{Cost: core.HeuristicCost{Schema: sch}})

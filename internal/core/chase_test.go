@@ -30,7 +30,7 @@ func chaseFixture(t *testing.T, constraints []*constraint.Constraint, queryPreds
 	if err := q.Validate(s); err != nil {
 		t.Fatalf("fixture query invalid: %v", err)
 	}
-	return newTable(q, s, constraints, Options{})
+	return newTable(t, q, s, constraints, Options{})
 }
 
 func pid(t *testing.T, tb *table, p predicate.Predicate) int32 {

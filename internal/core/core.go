@@ -110,19 +110,20 @@ func cellForTag(t Tag) Cell {
 }
 
 // ConstraintSource supplies the constraints relevant to a query.
-// *index.Index (the inverted constraint index), *groups.Store (the paper's
-// grouped retrieval) and CatalogSource (a plain catalog scan) all implement
-// it.
+// *index.Index (the inverted constraint index) and CatalogSource (a plain
+// catalog scan) implement it. The optimizer resolves every constraint it
+// retrieves through a compiled symbol space: the source's own (SymbolSource),
+// one compiled for a CatalogSource, or one passed to NewOptimizerSymbols.
 type ConstraintSource interface {
 	Retrieve(q *query.Query) []*constraint.Constraint
 }
 
-// SymbolSource is an optional upgrade of ConstraintSource: a source (the
-// constraint index) that has compiled its catalog into an interned symbol
-// space — dense predicate/class/attribute IDs, compiled constraints and the
-// implication adjacency. The transformation table then runs entirely in ID
-// space, reusing catalog-lifetime work across queries; only predicates
-// private to a query are compared at optimization time.
+// SymbolSource is a ConstraintSource (the constraint index) that has
+// compiled its catalog into an interned symbol space — dense
+// predicate/class/attribute IDs, compiled constraints and the implication
+// adjacency. The transformation table runs entirely in that ID space,
+// reusing catalog-lifetime work across queries; only predicates private to a
+// query are compared at optimization time.
 type SymbolSource interface {
 	// Symbols returns the compiled symbol space of the source's catalog
 	// generation (read-only).
@@ -131,9 +132,9 @@ type SymbolSource interface {
 
 // PrefilteredSource marks a ConstraintSource whose Retrieve already returns
 // only constraints relevant to the query. The optimizer then skips its
-// defensive re-filter during table initialization. CatalogSource, the
-// constraint index and the group store all prefilter; the marker exists for
-// custom sources that may not.
+// defensive re-filter during table initialization. CatalogSource and the
+// constraint index both prefilter; the marker exists for custom sources that
+// may not.
 type PrefilteredSource interface {
 	ConstraintSource
 	// RetrievesOnlyRelevant is a marker; implementations promise that
@@ -143,7 +144,7 @@ type PrefilteredSource interface {
 
 // CatalogSource adapts a raw constraint catalog into a ConstraintSource by
 // scanning it per query — the ungrouped baseline the paper's grouping scheme
-// improves on.
+// improves on. NewOptimizer compiles its symbol space once.
 type CatalogSource struct {
 	Catalog *constraint.Catalog
 }
@@ -262,8 +263,8 @@ func (o Options) rules() RuleSet {
 
 // Optimizer is the semantic query optimizer. Construction compiles (or
 // adopts) the catalog's interned symbol space; afterwards the optimizer is
-// safe for concurrent use as long as the ConstraintSource is (CatalogSource,
-// *index.Index and *groups.Store all are). Per-query scratch state — the
+// safe for concurrent use as long as the ConstraintSource is (CatalogSource
+// and *index.Index are). Per-query scratch state — the
 // transformation table, its adjacency arena, chase and formulation buffers —
 // is pooled and reused across Optimize calls, so steady-state optimization
 // allocates only what escapes into each Result.
@@ -272,43 +273,44 @@ type Optimizer struct {
 	source      ConstraintSource
 	opts        Options
 	prefiltered bool
-	syms        *symtab.Table // compiled symbol space; nil for a custom source
+	syms        *symtab.Table // compiled symbol space of the source's catalog
 	tables      sync.Pool     // *table scratch, reused across Optimize calls
 }
 
 // NewOptimizer builds an optimizer over a schema and constraint source. A
 // source that exposes a compiled symbol space (SymbolSource) supplies it; a
-// plain CatalogSource gets one compiled here, once. Custom sources run in
-// the string-space fallback.
+// CatalogSource gets one compiled here, once. Any other source must pass
+// its symbol space to NewOptimizerSymbols: NewOptimizer panics on it.
 func NewOptimizer(s *schema.Schema, src ConstraintSource, opts Options) *Optimizer {
-	return NewOptimizerSymbols(s, src, nil, opts)
+	var syms *symtab.Table
+	switch v := src.(type) {
+	case SymbolSource:
+		syms = v.Symbols()
+	case CatalogSource:
+		syms = symtab.Compile(s, v.Catalog.All())
+	default:
+		panic(fmt.Sprintf("core: NewOptimizer has no symbol space for a %T source; use NewOptimizerSymbols", src))
+	}
+	return NewOptimizerSymbols(s, src, syms, opts)
 }
 
 // NewOptimizerSymbols is NewOptimizer with an already-compiled symbol space
 // for the source's catalog generation — the engine compiles one per catalog
 // swap and shares it between retrieval index, optimizer and result-cache key
-// hashing. A nil syms falls back to NewOptimizer's own resolution.
+// hashing. Every constraint the source retrieves must resolve in syms, or
+// Optimize returns an error; a nil syms panics.
 func NewOptimizerSymbols(s *schema.Schema, src ConstraintSource, syms *symtab.Table, opts Options) *Optimizer {
+	if syms == nil {
+		panic("core: NewOptimizerSymbols needs a symbol space")
+	}
 	if opts.Cost == nil {
 		opts.Cost = HeuristicCost{Schema: s}
 	}
 	_, prefiltered := src.(PrefilteredSource)
 	o := &Optimizer{schema: s, source: src, opts: opts, prefiltered: prefiltered, syms: syms}
-	if syms == nil {
-		switch v := src.(type) {
-		case SymbolSource:
-			o.syms = v.Symbols()
-		case CatalogSource:
-			o.syms = symtab.Compile(s, v.Catalog.All())
-		}
-	}
 	o.tables.New = func() any { return &table{} }
 	return o
 }
 
 // Schema returns the schema the optimizer was built with.
 func (o *Optimizer) Schema() *schema.Schema { return o.schema }
-
-// Symbols returns the compiled symbol space of the optimizer's constraint
-// source, or nil for a custom source that exposes none.
-func (o *Optimizer) Symbols() *symtab.Table { return o.syms }

@@ -8,6 +8,7 @@ import (
 	"sqo/internal/predicate"
 	"sqo/internal/query"
 	"sqo/internal/schema"
+	"sqo/internal/symtab"
 	"sqo/internal/value"
 )
 
@@ -723,7 +724,7 @@ func TestIrrelevantConstraintsFilteredDefensively(t *testing.T) {
 		constraint.New("c4", nil, nil,
 			predicate.Eq("driver", "rank", value.String("research staff member"))))
 	everything := allSource{cat}
-	o := NewOptimizer(s, everything, Options{Cost: keepAll{}})
+	o := NewOptimizerSymbols(s, everything, symtab.Compile(s, cat.All()), Options{Cost: keepAll{}})
 	res, err := o.Optimize(paperQuery())
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
@@ -736,6 +737,36 @@ func TestIrrelevantConstraintsFilteredDefensively(t *testing.T) {
 type allSource struct{ cat *constraint.Catalog }
 
 func (s allSource) Retrieve(*query.Query) []*constraint.Constraint { return s.cat.All() }
+
+// TestOptimizerNeedsSymbolSpace: the transformation table has one form, in a
+// compiled symbol space. A source NewOptimizer cannot take one from is
+// refused at construction, and so is a nil table; a relevant constraint the
+// table cannot resolve fails the optimization instead of running elsewhere.
+func TestOptimizerNeedsSymbolSpace(t *testing.T) {
+	s := paperSchema(t)
+	cat := constraint.MustCatalog(paperC1(), paperC2())
+	mustPanic := func(name string, build func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		build()
+	}
+	mustPanic("NewOptimizer over a source without symbols", func() {
+		NewOptimizer(s, allSource{cat}, Options{})
+	})
+	mustPanic("NewOptimizerSymbols with a nil table", func() {
+		NewOptimizerSymbols(s, allSource{cat}, nil, Options{})
+	})
+
+	// c2 is relevant to the paper's query but absent from the table.
+	o := NewOptimizerSymbols(s, allSource{cat}, symtab.Compile(s, []*constraint.Constraint{paperC1()}), Options{})
+	if _, err := o.Optimize(paperQuery()); err == nil {
+		t.Fatal("a relevant constraint outside the symbol space optimized without error")
+	}
+}
 
 func TestTagAndCellStrings(t *testing.T) {
 	if TagRedundant.String() != "redundant" || TagOptional.String() != "optional" ||

@@ -249,9 +249,7 @@ func (o *Optimizer) formulate(t *table) *Result {
 	if len(t.trace) > 0 {
 		res.Trace = append([]Transformation(nil), t.trace...)
 	}
-	if t.depsOK {
-		// Non-nil even when empty: "depends on no constraints" must stay
-		// distinguishable from "dependency set unknown".
+	if t.opts.RecordDeps {
 		res.deps = make([]int32, len(t.deps))
 		copy(res.deps, t.deps)
 	}

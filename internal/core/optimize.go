@@ -54,9 +54,8 @@ type Result struct {
 	tagged []TaggedPredicate
 
 	// deps holds the catalog ordinals of every constraint this
-	// optimization consulted (the relevant set); nil when the optimizer
-	// could not attribute ordinals (custom constraint source, interning
-	// disabled). See Deps.
+	// optimization consulted (the relevant set); nil unless the optimizer
+	// ran with Options.RecordDeps. See Deps.
 	deps []int32
 
 	ftOnce sync.Once
@@ -67,10 +66,9 @@ type Result struct {
 // on — every constraint the transformation table consulted, fired or not —
 // ascending, in the ordinal space of the catalog generation that produced
 // the result. The engine's incremental catalog updates use it to invalidate
-// only the cached results whose dependency set intersects a delta. A nil
-// return means the set is unknown (the optimizer ran without an interned
-// symbol space or against a custom constraint source) and the result must be
-// treated as depending on everything. The slice is owned by the result;
+// only the cached results whose dependency set intersects a delta. The set is
+// recorded only under Options.RecordDeps (the engine sets it whenever it
+// caches); without it Deps returns nil. The slice is owned by the result;
 // treat as read-only.
 func (r *Result) Deps() []int32 { return r.deps }
 
@@ -116,8 +114,8 @@ func (r *Result) FinalTags() map[string]Tag {
 // transformation loop. The engine's containment-aware cache uses it to
 // derive the result of a contained query (cached generalization plus
 // residual conjuncts) without re-running the table; everything it passes in
-// must already be in final form — tagged in column order, deps ascending (or
-// nil when unknown). The slices are adopted, not copied.
+// must already be in final form — tagged in column order, deps ascending.
+// The slices are adopted, not copied.
 func ComposeResult(original, optimized *query.Query, empty bool, trace []Transformation, stats Stats, tagged []TaggedPredicate, deps []int32) *Result {
 	return &Result{
 		Original:    original,
@@ -168,7 +166,9 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, q *query.Query) (*Resul
 	t := o.tables.Get().(*table)
 	defer o.tables.Put(t)
 	t.reset(q, o.schema, o.opts, o.syms)
-	t.init(relevant, o.prefiltered)
+	if err := t.init(relevant, o.prefiltered); err != nil {
+		return nil, err
+	}
 
 	// Main loop (Figure 3.1): update the queue, drain it, repeat until an
 	// update leaves the queue empty.

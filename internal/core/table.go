@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"sqo/internal/constraint"
@@ -38,7 +39,7 @@ type table struct {
 	q    *query.Query
 	sch  *schema.Schema
 	opts Options
-	syms *symtab.Table // interned symbol space; nil in string-space fallback
+	syms *symtab.Table // interned symbol space of the constraint source
 
 	constraints []*constraint.Constraint
 	consBuf     []*constraint.Constraint // backing for the defensive re-filter
@@ -84,25 +85,17 @@ type table struct {
 	adj       []int32 // arena backing every computed adjacency list
 	queryOnly []int32 // columns with no catalog PredID
 
-	// localSig interns operand signatures not known to the symbol space
-	// (query-private signatures, and everything in the fallback path).
-	// Local ordinals are negative so they can never collide with symtab
-	// ordinals.
+	// localSig interns the operand signatures of query-private predicates
+	// that the symbol space does not know. Local ordinals are negative so
+	// they can never collide with symtab ordinals.
 	localSig map[sigKey]int32
-	// localPred interns predicates by key in the string-space fallback
-	// (no symtab): the pre-interning behavior, kept as the ablation
-	// baseline and for custom constraint sources.
-	localPred map[string]int32
 
 	queue fireQueue
 
 	// deps collects the catalog ordinals of the rows — every constraint
 	// this optimization consulted — for the engine's surgical cache
-	// invalidation. depsOK is false when any row could not be resolved to
-	// an ordinal (foreign constraint, or no symbol space), in which case
-	// the dependency set is unknown and the Result reports none.
-	deps   []int32
-	depsOK bool
+	// invalidation (Options.RecordDeps).
+	deps []int32
 
 	ops   int64 // primitive operation counter (cost accounting)
 	trace []Transformation
@@ -139,16 +132,13 @@ func (t *table) reset(q *query.Query, sch *schema.Schema, opts Options, syms *sy
 	t.queue.entries = t.queue.entries[:0]
 	t.queue.seq = 0
 	t.deps = t.deps[:0]
-	t.depsOK = syms != nil && opts.RecordDeps
 	t.ops = 0
 	t.trace = t.trace[:0]
 
-	if syms != nil {
-		if need := syms.NumPreds(); len(t.catCol) < need {
-			t.catCol = make([]int32, need)
-			t.catMark = make([]uint32, need)
-			t.catGen = 0
-		}
+	if need := syms.NumPreds(); len(t.catCol) < need {
+		t.catCol = make([]int32, need)
+		t.catMark = make([]uint32, need)
+		t.catGen = 0
 	}
 	t.catGen++
 	if t.catGen == 0 { // generation counter wrapped; invalidate all marks
@@ -157,9 +147,6 @@ func (t *table) reset(q *query.Query, sch *schema.Schema, opts Options, syms *sy
 	}
 	if len(t.localSig) > 0 {
 		clear(t.localSig)
-	}
-	if len(t.localPred) > 0 {
-		clear(t.localPred)
 	}
 }
 
@@ -297,22 +284,12 @@ func (fq *fireQueue) pop() int {
 	return top
 }
 
-// newTable implements the paper's Initialization step (Section 3.1) for
-// tests: collect relevant constraints into C, predicates into P, and fill
-// the table. Production runs go through Optimizer.acquireTable, which reuses
-// pooled tables and the catalog's compiled symbol space.
-func newTable(q *query.Query, sch *schema.Schema, relevant []*constraint.Constraint, opts Options) *table {
-	t := &table{}
-	t.reset(q, sch, opts, nil)
-	t.init(relevant, false)
-	return t
-}
-
 // init is the Initialization step proper; the table must be freshly reset.
 // Sources that do not promise prefiltering (PrefilteredSource) get a
 // defensive relevance re-check — firing an irrelevant constraint would be
-// unsound.
-func (t *table) init(relevant []*constraint.Constraint, prefiltered bool) {
+// unsound. A relevant constraint the symbol space cannot resolve is an
+// error: the table has no row form for it.
+func (t *table) init(relevant []*constraint.Constraint, prefiltered bool) error {
 	if prefiltered {
 		t.constraints = relevant
 	} else {
@@ -328,8 +305,8 @@ func (t *table) init(relevant []*constraint.Constraint, prefiltered bool) {
 	// P: predicates of the query and of the relevant constraints, interned
 	// into columns. Query predicates first — "we begin by making all the
 	// predicates in the query imperative" — then each constraint's
-	// antecedents and consequent in order, matching the pre-interning
-	// first-occurrence column numbering exactly.
+	// antecedents and consequent in order: columns are numbered by first
+	// occurrence.
 	for _, p := range t.q.Joins {
 		t.internQueryPred(p)
 	}
@@ -341,25 +318,18 @@ func (t *table) init(relevant []*constraint.Constraint, prefiltered bool) {
 	t.antsOff = append(t.antsOff, 0)
 	for _, c := range t.constraints {
 		t.ops += int64(1 + len(c.Antecedents))
-		var cons int32
-		if comp, ord, ok := t.compiledFor(c); ok {
-			// Catalog constraint: predicates arrive as PredIDs; no
-			// hashing, no key comparisons. The catalog ordinal joins the
-			// result's dependency set.
-			t.deps = append(t.deps, int32(ord))
-			for _, aid := range comp.Ants {
-				t.addAntCol(t.colOfCat(aid))
-			}
-			cons = t.colOfCat(comp.Cons)
-		} else {
-			t.depsOK = false
-			// Foreign constraint (custom source, or interning off):
-			// intern by canonical key as before the refactor.
-			for _, a := range c.Antecedents {
-				t.addAntCol(t.internLocal(a))
-			}
-			cons = t.internLocal(c.Consequent)
+		ord, ok := t.syms.Ordinal(c)
+		if !ok {
+			return fmt.Errorf("core: constraint %q is not in the optimizer's symbol space", c.ID)
 		}
+		// Predicates arrive as PredIDs: no hashing, no key comparisons.
+		// The catalog ordinal joins the result's dependency set.
+		t.deps = append(t.deps, int32(ord))
+		comp := t.syms.CompiledAt(ord)
+		for _, aid := range comp.Ants {
+			t.antsFlat = append(t.antsFlat, t.colOfCat(aid))
+		}
+		cons := t.colOfCat(comp.Cons)
 		// Consequent classification takes precedence over antecedent (a
 		// predicate that is both would make the constraint trivial; the
 		// closure never produces those, but be deterministic anyway):
@@ -395,6 +365,7 @@ func (t *table) init(relevant []*constraint.Constraint, prefiltered bool) {
 		}
 	}
 	t.queue.priorities = t.opts.UsePriorities
+	return nil
 }
 
 // grow returns a zeroed slice of length n, reusing s's capacity.
@@ -405,24 +376,6 @@ func grow(s []bool, n int) []bool {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// compiledFor resolves a constraint to its compiled (PredID) form and its
-// catalog ordinal.
-func (t *table) compiledFor(c *constraint.Constraint) (symtab.Compiled, int, bool) {
-	if t.syms == nil {
-		return symtab.Compiled{}, 0, false
-	}
-	ord, ok := t.syms.Ordinal(c)
-	if !ok {
-		return symtab.Compiled{}, 0, false
-	}
-	return t.syms.CompiledAt(ord), ord, true
-}
-
-// addAntCol appends one antecedent column to the flat row being built.
-func (t *table) addAntCol(col int32) {
-	t.antsFlat = append(t.antsFlat, col)
 }
 
 // addCol appends a new column for p. catID is the catalog PredID or -1.
@@ -466,18 +419,14 @@ func (t *table) colOfCat(id symtab.PredID) int32 {
 // would do.
 func (t *table) internQueryPred(p predicate.Predicate) {
 	var col int32
-	if t.syms != nil {
-		if id, ok := t.syms.PredID(p); ok && int(id) < t.syms.NumPreds() {
-			if t.catMark[id] == t.catGen {
-				col = t.catCol[id]
-			} else {
-				col = t.addCol(p, int32(id))
-			}
+	if id, ok := t.syms.PredID(p); ok && int(id) < t.syms.NumPreds() {
+		if t.catMark[id] == t.catGen {
+			col = t.catCol[id]
 		} else {
-			col = t.internPrivate(p)
+			col = t.addCol(p, int32(id))
 		}
 	} else {
-		col = t.internLocal(p)
+		col = t.internPrivate(p)
 	}
 	t.present[col] = true
 	t.inQuery[col] = true
@@ -497,32 +446,16 @@ func (t *table) internPrivate(p predicate.Predicate) int32 {
 	return t.addCol(p, -1)
 }
 
-// internLocal interns a predicate by canonical key — the string-space
-// fallback used when no symbol space is available.
-func (t *table) internLocal(p predicate.Predicate) int32 {
-	if t.localPred == nil {
-		t.localPred = make(map[string]int32)
-	}
-	key := p.Key()
-	if col, ok := t.localPred[key]; ok {
-		return col
-	}
-	col := t.addCol(p, -1)
-	t.localPred[key] = col
-	return col
-}
-
 // sigOrdinal resolves the operand-signature ordinal of a new column:
-// precomputed for catalog predicates, locally interned (negative ordinals)
-// otherwise.
+// precomputed for catalog predicates, resolved through the symbol space for
+// a query-private predicate on a known signature, locally interned
+// (negative ordinals) otherwise.
 func (t *table) sigOrdinal(p predicate.Predicate, catID int32) int32 {
 	if catID >= 0 {
 		return t.syms.SigOrdinal(symtab.PredID(catID))
 	}
-	if t.syms != nil {
-		if sig, ok := t.syms.SigOrdinalOf(p); ok {
-			return sig
-		}
+	if sig, ok := t.syms.SigOrdinalOf(p); ok {
+		return sig
 	}
 	k := sigKey{left: p.Left, join: p.IsJoin()}
 	if k.join {
@@ -586,8 +519,8 @@ type sigKey struct {
 
 // fwdOf returns the columns predicate col implies (ascending, excluding
 // col), computed on first use (DESIGN.md deviation #3): translated from the
-// symbol space's catalog-level adjacency when available, derived by
-// signature-peer comparison otherwise.
+// symbol space's catalog-level adjacency for a catalog predicate, derived by
+// signature-peer comparison for a query-private one.
 func (t *table) fwdOf(col int32) []int32 {
 	if !t.fwdDone[col] {
 		t.fwdDone[col] = true
@@ -616,7 +549,7 @@ func (t *table) revOf(col int32) []int32 {
 func (t *table) adjacency(col int32, forward bool) [2]int32 {
 	start := int32(len(t.adj))
 	p := t.preds[col]
-	if t.syms != nil && t.colCat[col] >= 0 {
+	if t.colCat[col] >= 0 {
 		// Catalog predicate: its implications among catalog predicates
 		// were precomputed at symbol compile time; translate PredIDs to
 		// the columns present in this table.
@@ -648,8 +581,8 @@ func (t *table) adjacency(col int32, forward bool) [2]int32 {
 		slices.Sort(t.adj[start:])
 		return [2]int32{start, int32(len(t.adj))}
 	}
-	// No symbol space, or a query-private predicate: compare against every
-	// signature peer, in column order.
+	// A query-private predicate: compare against every signature peer, in
+	// column order.
 	for j := int32(0); j < int32(len(t.preds)); j++ {
 		if j == col || t.colSig[j] != t.colSig[col] {
 			continue

@@ -7,8 +7,22 @@ import (
 	"sqo/internal/predicate"
 	"sqo/internal/query"
 	"sqo/internal/schema"
+	"sqo/internal/symtab"
 	"sqo/internal/value"
 )
+
+// newTable runs the paper's Initialization step (Section 3.1) alone: collect
+// the relevant constraints into C and the predicates into P, and fill the
+// table, in a symbol space compiled from the relevant constraints.
+func newTable(t testing.TB, q *query.Query, sch *schema.Schema, relevant []*constraint.Constraint, opts Options) *table {
+	t.Helper()
+	tb := &table{}
+	tb.reset(q, sch, opts, symtab.Compile(sch, relevant))
+	if err := tb.init(relevant, false); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
 
 func tableSchema(t *testing.T) *schema.Schema {
 	t.Helper()
@@ -34,7 +48,7 @@ func TestInitializationCells(t *testing.T) {
 	c2 := constraint.New("c2", []predicate.Predicate{b2}, nil, idx3)
 	c3 := constraint.New("c3", []predicate.Predicate{idx3}, nil, a1)
 	q := query.New("t").AddProject("t", "a").AddSelect(a1).AddSelect(b2)
-	tb := newTable(q, s, []*constraint.Constraint{c1, c2, c3}, Options{DisableImpliedAntecedents: true})
+	tb := newTable(t, q, s, []*constraint.Constraint{c1, c2, c3}, Options{DisableImpliedAntecedents: true})
 
 	if len(tb.constraints) != 3 {
 		t.Fatalf("rows = %d", len(tb.constraints))
@@ -88,7 +102,7 @@ func TestColumnUpdateOnFire(t *testing.T) {
 	c1 := constraint.New("c1", []predicate.Predicate{a1}, nil, idx3)
 	c2 := constraint.New("c2", []predicate.Predicate{idx3}, nil, b2)
 	q := query.New("t").AddProject("t", "a").AddSelect(a1).AddSelect(b2)
-	tb := newTable(q, s, []*constraint.Constraint{c1, c2}, Options{DisableImpliedAntecedents: true})
+	tb := newTable(t, q, s, []*constraint.Constraint{c1, c2}, Options{DisableImpliedAntecedents: true})
 
 	idI, _ := tb.lookupCol(idx3)
 	if tb.cell(1, idI) != CellAbsentAntecedent {
@@ -140,7 +154,7 @@ func TestProducedTagMatrix(t *testing.T) {
 		predicate.Join("x", "plain", predicate.LE, "y", "v"))
 
 	q := query.New("x", "y").AddProject("x", "plain").AddRelationship("r")
-	tb := newTable(q, s, []*constraint.Constraint{intraPlain, intraKeyed, inter, interJoin}, Options{})
+	tb := newTable(t, q, s, []*constraint.Constraint{intraPlain, intraKeyed, inter, interJoin}, Options{})
 
 	wants := []Tag{TagRedundant, TagOptional, TagOptional, TagOptional}
 	for row, want := range wants {
@@ -215,7 +229,7 @@ func TestImpliedAntecedentColumnRipple(t *testing.T) {
 	c1 := constraint.New("c1", []predicate.Predicate{a1}, nil, b7)
 	c2 := constraint.New("c2", []predicate.Predicate{bGT5}, nil, idx9)
 	q := query.New("t").AddProject("t", "a").AddSelect(a1)
-	tb := newTable(q, s, []*constraint.Constraint{c1, c2}, Options{})
+	tb := newTable(t, q, s, []*constraint.Constraint{c1, c2}, Options{})
 
 	idGT, _ := tb.lookupCol(bGT5)
 	if tb.cell(1, idGT) != CellAbsentAntecedent {

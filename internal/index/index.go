@@ -24,9 +24,10 @@
 //     the closure materializer chains constraints through these postings
 //     instead of pairing the whole catalog.
 //
-// An Index is immutable after New and safe for unbounded concurrent use. The
-// Scan type wraps the old linear catalog scan behind the same Lookup
-// interface, kept as the baseline the differential tests compare against.
+// An Index is immutable after New and safe for unbounded concurrent use.
+// Relevant returns exactly what a linear scan (constraint.Catalog.RelevantTo)
+// returns, in the same order; the differential tests and the index ablation
+// compare the two.
 package index
 
 import (
@@ -37,13 +38,6 @@ import (
 	"sqo/internal/query"
 	"sqo/internal/symtab"
 )
-
-// Lookup finds the constraints applicable to a query. Implementations must
-// return exactly the catalog's relevant set in catalog (insertion) order, so
-// index-backed and scan-backed optimization are output-identical.
-type Lookup interface {
-	Relevant(q *query.Query) []*constraint.Constraint
-}
 
 // Index is the inverted constraint index. Build with New; immutable and
 // shareable afterwards. Patch derives the next catalog generation's index
@@ -395,23 +389,3 @@ func (ix *Index) Stats() Stats {
 		AttrKeys:        ix.attrNonEmpty,
 	}
 }
-
-// Scan is the pre-index retrieval path — a linear scan of the whole catalog
-// per query — kept as the baseline implementation of Lookup for equivalence
-// testing and ablation benchmarks.
-type Scan struct {
-	Catalog *constraint.Catalog
-}
-
-// Relevant returns the relevant constraints by scanning the catalog.
-func (s Scan) Relevant(q *query.Query) []*constraint.Constraint {
-	return s.Catalog.RelevantTo(q)
-}
-
-// Retrieve makes Scan a core.ConstraintSource.
-func (s Scan) Retrieve(q *query.Query) []*constraint.Constraint {
-	return s.Catalog.RelevantTo(q)
-}
-
-// RetrievesOnlyRelevant marks the scan as prefiltered.
-func (s Scan) RetrievesOnlyRelevant() {}

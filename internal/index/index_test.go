@@ -36,7 +36,6 @@ func TestRelevantMatchesScanRandom(t *testing.T) {
 		}
 		cat := constraint.MustCatalog(cs...)
 		ix := New(cat)
-		scan := Scan{Catalog: cat}
 
 		for probe := 0; probe < 20; probe++ {
 			lo := r.Intn(len(classes))
@@ -45,7 +44,7 @@ func TestRelevantMatchesScanRandom(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				q.AddRelationship(links[i])
 			}
-			want := scan.Relevant(q)
+			want := cat.RelevantTo(q)
 			got := ix.Relevant(q)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: %v: index %d vs scan %d", trial, q.Classes, len(got), len(want))

@@ -21,7 +21,6 @@ import (
 func TestRelevantMatchesScanLogistics(t *testing.T) {
 	cat := datagen.Constraints()
 	ix := index.New(cat)
-	scan := index.Scan{Catalog: cat}
 
 	queries := []*query.Query{
 		query.New("vehicle", "cargo").AddRelationship("collects"),
@@ -32,7 +31,7 @@ func TestRelevantMatchesScanLogistics(t *testing.T) {
 		query.New("cargo", "driver").AddRelationship("inspects"),
 	}
 	for _, q := range queries {
-		want := scan.Relevant(q)
+		want := cat.RelevantTo(q)
 		got := ix.Relevant(q)
 		if len(got) != len(want) {
 			t.Fatalf("%v: index returned %d constraints, scan %d", q.Classes, len(got), len(want))

@@ -204,3 +204,51 @@ func TestFirstPatchOverlayHoldsOnlyTheDelta(t *testing.T) {
 		}
 	}
 }
+
+// TestSupersededGenerationKeepsOrdinals: a generation a later re-add
+// superseded still resolves every constraint it holds. Queries in flight on
+// it during an A→B→A catalog swap look their rows up this way, so a lookup
+// that loses a constraint there fails the query. Two shapes: a patch-added
+// constraint removed and re-added (twice), and a base constraint re-added
+// after the lineage already has an overlay.
+func TestSupersededGenerationKeepsOrdinals(t *testing.T) {
+	r1, r2 := patchRule("r1", "a", "u", 10), patchRule("r2", "a", "v", 20)
+	x := patchRule("x", "a", "w", 30)
+	t0 := Compile(nil, []*constraint.Constraint{r1, r2})
+	t1, _ := t0.Patch([]*constraint.Constraint{x}) // x at 2
+	// Removing x is a symtab no-op; re-adding it patches it in at 3.
+	t2, _ := t1.Patch([]*constraint.Constraint{x})
+	t3, _ := t2.Patch([]*constraint.Constraint{r1}) // base r1 re-added at 4
+	t4, _ := t3.Patch([]*constraint.Constraint{x})  // x again, at 5
+
+	cases := []struct {
+		name string
+		tab  *Table
+		c    *constraint.Constraint
+		want int // -1: not held
+	}{
+		{"base/x", t0, x, -1},
+		{"base/r1", t0, r1, 0},
+		{"gen1/x", t1, x, 2},
+		{"gen1/r1", t1, r1, 0},
+		{"gen2/x", t2, x, 3},
+		{"gen2/r1", t2, r1, 0},
+		{"gen3/x", t3, x, 3},
+		{"gen3/r1", t3, r1, 4},
+		{"gen4/x", t4, x, 5},
+		{"gen4/r1", t4, r1, 4},
+		{"gen4/r2", t4, r2, 1},
+	}
+	for _, tc := range cases {
+		ord, ok := tc.tab.Ordinal(tc.c)
+		if tc.want < 0 {
+			if ok {
+				t.Errorf("%s: Ordinal = %d, want not held", tc.name, ord)
+			}
+			continue
+		}
+		if !ok || ord != tc.want {
+			t.Errorf("%s: Ordinal = %d, %v; want %d", tc.name, ord, ok, tc.want)
+		}
+	}
+}

@@ -124,19 +124,60 @@ type base struct {
 // safe for unbounded concurrent lookups from every generation while the
 // newest generation (patches are serialized by the caller) keeps inserting.
 // It holds only what the lineage's patches minted; IDs are append-only, so
-// an entry, once stored, never changes.
+// a symbol entry, once stored, never changes. A constraint pointer is the
+// exception: a patch may re-add it at a fresh ordinal, so ordOf keeps every
+// ordinal the lineage gave it (see reAdd).
 type overlay struct {
 	classIDs sync.Map // string -> ClassID
 	attrIDs  sync.Map // attrKey -> AttrID
 	sigIDs   sync.Map // sigKey -> int32
 	predIDs  sync.Map // predicate key -> PredID
-	ordOf    sync.Map // *constraint.Constraint -> int32
+	ordOf    sync.Map // *constraint.Constraint -> int32 (one add) or *reAdd
 
 	// sigMembers lists the pooled PredIDs of each signature bucket,
 	// ascending — the membership Patch needs to compute the implication
 	// edges of a newly interned predicate. Mutation-side only (guarded by
 	// the caller's patch serialization); never read while serving.
 	sigMembers map[int32][]PredID
+}
+
+// reAdd is one re-add of a constraint pointer in a lineage: ord is the
+// ordinal it gave the pointer, and prev the ordOf value it replaced (the
+// int32 of the first add, or the previous re-add). Ordinals grow along the
+// chain, so a generation walks it from the newest re-add down to the first
+// ordinal it holds. Only a re-add allocates a link; a first add stores the
+// bare ordinal.
+type reAdd struct {
+	ord  int32
+	prev any
+}
+
+// storeOrd records that c was added at ord.
+func (o *overlay) storeOrd(c *constraint.Constraint, ord int32) {
+	if prev, ok := o.ordOf.Load(c); ok {
+		o.ordOf.Store(c, &reAdd{ord: ord, prev: prev})
+		return
+	}
+	o.ordOf.Store(c, ord)
+}
+
+// ordinal returns the largest ordinal the lineage gave c below n, the
+// ordinal count of the asking generation.
+func (o *overlay) ordinal(c *constraint.Constraint, n int) (int, bool) {
+	v, _ := o.ordOf.Load(c)
+	for {
+		switch h := v.(type) {
+		case *reAdd:
+			if int(h.ord) < n {
+				return int(h.ord), true
+			}
+			v = h.prev
+		case int32:
+			return int(h), int(h) < n
+		default: // no patch of the lineage added c
+			return 0, false
+		}
+	}
 }
 
 // Compile interns the symbol space of a catalog generation: the schema's
@@ -183,7 +224,7 @@ func Compile(sch *schema.Schema, all []*constraint.Constraint) *Table {
 func (t *Table) add(c *constraint.Constraint) int32 {
 	ord := int32(len(t.compiled))
 	if t.over != nil {
-		t.over.ordOf.Store(c, ord)
+		t.over.storeOrd(c, ord)
 	} else {
 		t.base.ordKeys = append(t.base.ordKeys, c.Key())
 		t.base.ords.Insert(c.KeyHash(), ord)
@@ -403,17 +444,15 @@ func (t *Table) ImpliedBy(id PredID) []PredID { return t.rev[id] }
 // Ordinal returns the catalog ordinal of a constraint of this generation;
 // ok is false for constraints the generation never held (including those a
 // later generation of the same lineage appended after this one was taken).
-// The overlay, keyed by constraint pointer, is read first, so a constraint a
-// patch re-added resolves to its new ordinal; the base is keyed by
-// constraint key, so any constraint equal to a base constraint resolves to
-// that one's ordinal.
+// The overlay, keyed by constraint pointer, is read first: a constraint a
+// patch re-added resolves to the newest ordinal this generation holds, so a
+// generation a later re-add superseded keeps the one it was built with.
+// Without one there, the base is read; it is keyed by constraint key, so any
+// constraint equal to a base constraint resolves to that one's ordinal.
 func (t *Table) Ordinal(c *constraint.Constraint) (int, bool) {
 	if t.over != nil {
-		if v, ok := t.over.ordOf.Load(c); ok {
-			if ord := int(v.(int32)); ord < len(t.compiled) {
-				return ord, true
-			}
-			return 0, false
+		if ord, ok := t.over.ordinal(c, len(t.compiled)); ok {
+			return ord, true
 		}
 	}
 	key := c.Key()

@@ -2,11 +2,13 @@ package sqo_test
 
 // Acceptance gates for the observability layer: tracing must never tax the
 // untraced hot path (zero allocations), and a fully sampled trace must cost
-// less than 5% of an uncached optimization. The serving-layer coverage gate
-// (span sum vs end-to-end time) lives in internal/server.
+// less than 5% of an uncached optimization — timed, and counted in
+// allocations and spans. The serving-layer coverage gate (span sum vs
+// end-to-end time) lives in internal/server.
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -166,4 +168,61 @@ func TestSampledTracingOverhead(t *testing.T) {
 		}
 	}
 	t.Errorf("100%%-sampled tracing overhead = %.1f%%, budget 5%%", (ratio-1)*100)
+}
+
+// TestSampledTracingAllocBudget is TestSampledTracingOverhead's counted
+// twin: the same property as work every host counts alike. A 100%-sampled
+// uncached Optimize, recorder lifecycle included, allocates at most one
+// object more than an untraced one (the context carrying the trace; the
+// recorder is pooled), and its trace holds exactly the optimizer's
+// retrieve, transform and formulate spans, none dropped.
+func TestSampledTracingAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the non-race CI job runs this")
+	}
+	eng, err := sqo.NewEngine(datagen.Schema(), sqo.WithCatalog(datagen.Constraints()))
+	if err != nil {
+		t.Fatal(err) // no cache: every call runs the full pipeline
+	}
+	q := figure23Query()
+	plain := context.Background()
+	tc := obs.NewTracer(obs.TracerConfig{SampleN: 1})
+	traced := func() *obs.Trace {
+		tr := tc.Sample(time.Now())
+		if _, err := eng.Optimize(obs.WithTrace(plain, tr), q); err != nil {
+			t.Fatal(err)
+		}
+		tc.Finish(tr)
+		return tr
+	}
+	untraced := func() {
+		if _, err := eng.Optimize(plain, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill the trace ring, so every Finish returns a displaced recorder to
+	// the pool the next Sample takes from.
+	for i := 0; i < 300; i++ {
+		traced()
+	}
+	untraced()
+	base := testing.AllocsPerRun(200, untraced)
+	with := testing.AllocsPerRun(200, func() { traced() })
+	t.Logf("uncached Optimize: %.0f allocs/op untraced, %.0f traced", base, with)
+	if with > base+1 {
+		t.Errorf("100%%-sampled Optimize = %.0f allocs/op against %.0f untraced, budget +1", with, base)
+	}
+
+	snap, ok := tc.Get(traced().ID())
+	if !ok {
+		t.Fatal("the finished trace is not in the ring")
+	}
+	var stages []string
+	for _, sp := range snap.Spans {
+		stages = append(stages, sp.Stage)
+	}
+	want := []string{obs.StageRetrieve.String(), obs.StageTransform.String(), obs.StageFormulate.String()}
+	if !slices.Equal(stages, want) || snap.DroppedSpans != 0 {
+		t.Errorf("trace spans = %v (%d dropped), want exactly %v", stages, snap.DroppedSpans, want)
+	}
 }

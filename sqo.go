@@ -11,9 +11,10 @@
 // and only at the end is the output query formulated — together with every
 // substrate the paper's evaluation needs: an OODB storage engine with
 // simulated physical I/O, a pointer-traversal query executor, a System-R
-// style cost model, Horn-clause constraint catalogs with transitive-closure
-// materialization and class-attached grouping, workload generators, and the
-// comparison baselines.
+// style cost model, Horn-clause constraint catalogs, workload generators, and
+// the comparison baselines. The paper's retrieval and closure ablations
+// (class-attached grouping, transitive-closure materialization, catalog
+// scans) are experiments of cmd/sqobench, not part of this API.
 //
 // # Quick start
 //
@@ -47,7 +48,6 @@
 package sqo
 
 import (
-	"sqo/internal/closure"
 	"sqo/internal/constraint"
 	"sqo/internal/core"
 	"sqo/internal/costmodel"
@@ -55,7 +55,6 @@ import (
 	"sqo/internal/derive"
 	"sqo/internal/engine"
 	"sqo/internal/exec"
-	"sqo/internal/groups"
 	"sqo/internal/index"
 	"sqo/internal/pathgen"
 	"sqo/internal/predicate"
@@ -200,60 +199,9 @@ func ParseConstraint(line string) (*Constraint, error) { return constraint.Parse
 // lines and #-comments ignored.
 func ParseConstraintCatalog(text string) (*Catalog, error) { return constraint.ParseCatalog(text) }
 
-// ClosureOptions tunes transitive-closure materialization.
-type ClosureOptions = closure.Options
-
-// ClosureStats reports what materialization derived.
-type ClosureStats = closure.Stats
-
-// MaterializeClosure precomputes the transitive closure of a constraint
-// catalog (Section 3 / [YuS89]), returning the closed catalog, the interned
-// predicate pool, and statistics.
-func MaterializeClosure(cat *Catalog, opts ClosureOptions) (*Catalog, *predicate.Pool, ClosureStats, error) {
-	return closure.Materialize(cat, opts)
-}
-
-// Constraint grouping (Section 3's retrieval scheme).
-type (
-	// GroupStore holds class-attached constraint groups.
-	GroupStore = groups.Store
-	// GroupPolicy selects the constraint-to-class assignment rule.
-	GroupPolicy = groups.Policy
-	// AccessStats tracks per-class access frequencies.
-	AccessStats = groups.AccessStats
-)
-
-// Grouping policies.
-const (
-	GroupArbitrary     = groups.Arbitrary
-	GroupLeastAccessed = groups.LeastAccessed
-	GroupEvenSpread    = groups.EvenSpread
-)
-
-// NewGroupStore distributes a catalog into class-attached groups.
-func NewGroupStore(cat *Catalog, policy GroupPolicy, stats *AccessStats) *GroupStore {
-	return groups.NewStore(cat, policy, stats)
-}
-
-// NewAccessStats returns empty access statistics.
-func NewAccessStats() *AccessStats { return groups.NewAccessStats() }
-
-// Indexed constraint retrieval (sublinear in the catalog size).
-type (
-	// ConstraintIndex is an immutable inverted index over a constraint
-	// catalog: class posting lists for applicable-constraint retrieval
-	// plus (class, attribute, predicate kind)-keyed postings with
-	// operator-interval filtering. Safe for unbounded concurrent use.
-	// Engines build one per catalog generation.
-	ConstraintIndex = index.Index
-	// IndexStats describes the shape of a built ConstraintIndex.
-	IndexStats = index.Stats
-)
-
-// NewConstraintIndex builds the inverted index over a catalog. The returned
-// index retrieves exactly the constraints a linear catalog scan would, in
-// the same order, touching only the posting lists of the query's classes.
-func NewConstraintIndex(cat *Catalog) *ConstraintIndex { return index.New(cat) }
+// IndexStats describes the shape of the inverted constraint index an Engine
+// builds per catalog generation (EngineStats.ConstraintIndex).
+type IndexStats = index.Stats
 
 // The optimizer (the paper's contribution).
 type (

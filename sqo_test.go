@@ -101,24 +101,6 @@ func TestValuesFacade(t *testing.T) {
 	}
 }
 
-func TestClosureFacade(t *testing.T) {
-	cat := sqo.MustCatalog(
-		sqo.NewConstraint("k1",
-			[]sqo.Predicate{sqo.Eq("t", "a", sqo.IntValue(1))}, nil,
-			sqo.Eq("t", "b", sqo.IntValue(2))),
-		sqo.NewConstraint("k2",
-			[]sqo.Predicate{sqo.Eq("t", "b", sqo.IntValue(2))}, nil,
-			sqo.Eq("t", "c", sqo.IntValue(3))),
-	)
-	closed, pool, stats, err := sqo.MaterializeClosure(cat, sqo.ClosureOptions{})
-	if err != nil {
-		t.Fatalf("MaterializeClosure: %v", err)
-	}
-	if stats.Derived != 1 || closed.Len() != 3 || pool.Len() == 0 {
-		t.Errorf("closure stats: %+v, len=%d", stats, closed.Len())
-	}
-}
-
 func TestLogisticsWorldFacade(t *testing.T) {
 	cfg := sqo.DB1()
 	db, err := sqo.GenerateDatabase(cfg)
@@ -142,22 +124,6 @@ func TestLogisticsWorldFacade(t *testing.T) {
 	}
 	if id, err := sqo.CheckCatalog(db, sqo.LogisticsConstraints()); err != nil || id != "" {
 		t.Errorf("CheckCatalog: %q, %v", id, err)
-	}
-}
-
-func TestGroupingFacade(t *testing.T) {
-	cat := sqo.LogisticsConstraints()
-	stats := sqo.NewAccessStats()
-	store := sqo.NewGroupStore(cat, sqo.GroupLeastAccessed, stats)
-	q := sqo.NewQuery("cargo", "vehicle").AddRelationship("collects")
-	rel := store.Retrieve(q)
-	if len(rel) == 0 {
-		t.Error("expected relevant constraints for cargo/vehicle")
-	}
-	for _, c := range rel {
-		if !c.RelevantTo(q) {
-			t.Errorf("irrelevant constraint retrieved: %s", c)
-		}
 	}
 }
 

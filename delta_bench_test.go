@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -14,13 +15,16 @@ import (
 
 // BenchmarkCatalogUpdate measures one incremental UpdateCatalog call across
 // catalog sizes (10²–10⁴ rules) and delta sizes (1/10/100 rules). Each
-// iteration applies one delta: removals and re-additions of the same rule
-// batch alternate, so the live catalog size stays put while every call is a
-// real generation change (tombstone compaction, when the guardrail trips,
-// is part of the measured amortized cost). Those cases leave the cache
-// empty; catalog=10000/warm updates under a full semantic cache (see
-// warmUpdate). BenchmarkCatalogSwap/catalog=10000/replace-all prices the
-// full rebuild these deltas avoid.
+// delta=D iteration applies one delta: removals and re-additions of the
+// same rule batch alternate, so the live catalog size stays put while every
+// call is a real generation change (tombstone compaction, when the
+// guardrail trips, is part of the measured amortized cost). Their re-adds
+// reuse interned symbols; the fresh cases send what a serving writer sends
+// (freshWriter), so every update interns new predicates. Those cases leave
+// the cache empty; catalog=10000/warm sends the fresh writer's updates
+// under a full semantic cache (see warmUpdate).
+// BenchmarkCatalogSwap/catalog=10000/replace-all prices the full rebuild
+// these deltas avoid.
 func BenchmarkCatalogUpdate(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		sch, cat, err := sqo.GenerateScaledWorld(sqo.ScaledConfig{Constraints: n, Seed: int64(n)})
@@ -76,6 +80,59 @@ func BenchmarkCatalogUpdate(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("catalog=%d/fresh", n), func(b *testing.B) {
+			eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat), sqo.WithCache(sqo.CacheConfig{Capacity: 1024}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := newFreshWriter("fresh", sch)
+			// Pay the one-time lineage promotion outside the timer.
+			w.apply(b, eng)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.apply(b, eng)
+			}
+		})
+	}
+}
+
+// freshWriter makes the updates a serving writer sends, as perfbench's and
+// sqoload's writers do: update i adds fresh rule i on a random class and
+// removes rule i-1, so the live catalog size stays put and every update
+// interns new predicates.
+type freshWriter struct {
+	id, kind string // formats of rule i's ID and kind constant
+	classes  []string
+	rng      *rand.Rand
+	i        int // the next update
+}
+
+// newFreshWriter names rule i <prefix><i>. Formats, not a prefix argument,
+// keep the writer's own allocations those of a literal format.
+func newFreshWriter(prefix string, sch *sqo.Schema) *freshWriter {
+	return &freshWriter{id: prefix + "%d", kind: prefix + "-%d", classes: sch.Classes(), rng: rand.New(rand.NewSource(1))}
+}
+
+// next returns the next update and the class of the rule it adds.
+func (w *freshWriter) next() (*sqo.CatalogDelta, string) {
+	i := w.i
+	w.i++
+	class := w.classes[w.rng.Intn(len(w.classes))]
+	d := sqo.NewCatalogDelta().AddConstraints(sqo.NewConstraint(fmt.Sprintf(w.id, i),
+		[]sqo.Predicate{sqo.Eq(class, "kind", sqo.StringValue(fmt.Sprintf(w.kind, i)))}, nil,
+		sqo.Sel(class, "load", sqo.OpLE, sqo.IntValue(int64(5000+i)))))
+	if i > 0 {
+		d.RemoveConstraints(fmt.Sprintf(w.id, i-1))
+	}
+	return d, class
+}
+
+// apply sends the next update to eng.
+func (w *freshWriter) apply(tb testing.TB, eng *sqo.Engine) {
+	d, _ := w.next()
+	if _, err := eng.UpdateCatalog(d); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -103,15 +160,13 @@ func warmWorkload(b *testing.B, sch *sqo.Schema, cat *sqo.Catalog) []*sqo.Query 
 
 // warmUpdate is the state of catalog=10000/warm: an engine whose
 // canonicalizing, subsuming cache holds the whole warm workload, and the
-// writer's position. Each b.N round builds its own, so every round starts
-// from the same lineage.
+// writer. Each b.N round builds its own, so every round starts from the
+// same lineage.
 type warmUpdate struct {
-	eng     *sqo.Engine
-	qs      []*sqo.Query // distinct canonical forms, exactly filling the cache
-	classes []string
-	rng     *rand.Rand
-	i       int    // the next update
-	prev    string // class of the rule the previous update added
+	eng  *sqo.Engine
+	qs   []*sqo.Query // distinct canonical forms, exactly filling the cache
+	w    *freshWriter
+	prev string // class of the rule the previous update added
 }
 
 func newWarmUpdate(b *testing.B, sch *sqo.Schema, cat *sqo.Catalog, qs []*sqo.Query) *warmUpdate {
@@ -120,7 +175,7 @@ func newWarmUpdate(b *testing.B, sch *sqo.Schema, cat *sqo.Catalog, qs []*sqo.Qu
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := &warmUpdate{eng: eng, qs: qs, classes: sch.Classes(), rng: rand.New(rand.NewSource(1))}
+	w := &warmUpdate{eng: eng, qs: qs, w: newFreshWriter("warm", sch)}
 	w.refill(b, nil)
 	if size := eng.Stats().Cache.Size; size != warmCapacity {
 		b.Fatalf("cache holds %d entries after the fill, want %d", size, warmCapacity)
@@ -143,19 +198,10 @@ func (w *warmUpdate) refill(b *testing.B, classes []string) {
 	}
 }
 
-// update applies the delta a serving writer sends — add fresh rule i on a
-// random class, remove rule i-1 — then refills the cache with the timer
-// stopped, so every update meets a full cache.
+// update applies the fresh writer's next delta, then refills the cache
+// with the timer stopped, so every update meets a full cache.
 func (w *warmUpdate) update(b *testing.B) {
-	i := w.i
-	w.i++
-	class := w.classes[w.rng.Intn(len(w.classes))]
-	d := sqo.NewCatalogDelta().AddConstraints(sqo.NewConstraint(fmt.Sprintf("warm%d", i),
-		[]sqo.Predicate{sqo.Eq(class, "kind", sqo.StringValue(fmt.Sprintf("warm-%d", i)))}, nil,
-		sqo.Sel(class, "load", sqo.OpLE, sqo.IntValue(int64(5000+i)))))
-	if i > 0 {
-		d.RemoveConstraints(fmt.Sprintf("warm%d", i-1))
-	}
+	d, class := w.w.next()
 	if _, err := w.eng.UpdateCatalog(d); err != nil {
 		b.Fatal(err)
 	}
@@ -272,6 +318,54 @@ func TestCatalogUpdateSpeedup(t *testing.T) {
 	if build < upd*10 {
 		t.Errorf("1-rule delta apply is only %.1fx faster than a full rebuild, want >= 10x (update %v, rebuild %v)",
 			float64(build)/float64(upd), upd, build)
+	}
+}
+
+// TestCatalogUpdateBytesFlat is the counted twin of
+// TestCatalogUpdateSpeedup: a one-rule update costs what its delta costs,
+// so what the fresh writer's updates allocate must not grow with the
+// catalog. The engine has no cache, so the bytes are the patch's own; a
+// patch that copied a per-predicate, per-class or per-signature array whole
+// would allocate about ten times more at 10⁴ rules than at 10³.
+func TestCatalogUpdateBytesFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the non-race CI job runs this")
+	}
+	const warmup, measured = 16, 64
+	type cost struct{ bytes, allocs float64 }
+	measure := func(rules int) cost {
+		sch, cat, err := sqo.GenerateScaledWorld(sqo.ScaledConfig{Constraints: rules, Seed: int64(rules)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := sqo.NewEngine(sch, sqo.WithCatalog(cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newFreshWriter("flat", sch)
+		for i := 0; i < warmup; i++ {
+			w.apply(t, eng)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < measured; i++ {
+			w.apply(t, eng)
+		}
+		runtime.ReadMemStats(&after)
+		return cost{
+			bytes:  float64(after.TotalAlloc-before.TotalAlloc) / measured,
+			allocs: float64(after.Mallocs-before.Mallocs) / measured,
+		}
+	}
+	c2, c3, c4 := measure(100), measure(1000), measure(10000)
+	t.Logf("per update: 10² rules %.0f B %.1f allocs; 10³ rules %.0f B %.1f allocs; 10⁴ rules %.0f B %.1f allocs",
+		c2.bytes, c2.allocs, c3.bytes, c3.allocs, c4.bytes, c4.allocs)
+	if c4.bytes > 1.5*c3.bytes {
+		t.Errorf("update bytes grow with the catalog: %.0f B at 10³ rules, %.0f B at 10⁴ (%.2fx, want <= 1.5x)",
+			c3.bytes, c4.bytes, c4.bytes/c3.bytes)
+	}
+	if c4.allocs > c3.allocs+16 {
+		t.Errorf("update allocations grow with the catalog: %.1f at 10³ rules, %.1f at 10⁴", c3.allocs, c4.allocs)
 	}
 }
 

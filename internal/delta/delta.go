@@ -76,7 +76,7 @@ func (p Plan) Empty() bool { return len(p.RemovedOrds) == 0 && len(p.Added) == 0
 // serialized by the owning engine's swap lock; readers never touch it.
 type State struct {
 	all  []*constraint.Constraint // ordinal space, tombstones in place
-	dead []bool                   // per ordinal: tombstoned
+	dead tombs
 	live int
 
 	byID  map[string]int32 // live ID -> ordinal
@@ -88,7 +88,7 @@ type State struct {
 func NewState(all []*constraint.Constraint) *State {
 	s := &State{
 		all:   all,
-		dead:  make([]bool, len(all)),
+		dead:  make(tombs, words(len(all))),
 		live:  len(all),
 		byID:  make(map[string]int32, len(all)),
 		byKey: make(map[string]int32, len(all)),
@@ -110,12 +110,23 @@ func (s *State) Dead() int { return len(s.all) - s.live }
 func (s *State) Constraints() []*constraint.Constraint {
 	out := make([]*constraint.Constraint, 0, s.live)
 	for i, c := range s.all {
-		if !s.dead[i] {
+		if !s.dead.has(i) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
+
+// tombs is a tombstone set: bit ord is set when ordinal ord is tombstoned.
+// A bit per ordinal keeps the copy that freezes each generation small.
+type tombs []uint64
+
+// words returns the length of a tombstone set covering n ordinals.
+func words(n int) int { return (n + 63) >> 6 }
+
+func (t tombs) has(ord int) bool { return t[ord>>6]&(1<<(ord&63)) != 0 }
+
+func (t tombs) set(ord int) { t[ord>>6] |= 1 << (ord & 63) }
 
 // Plan validates ops in order against the current state without mutating
 // it: removals must name a live constraint, additions must validate against
@@ -214,7 +225,7 @@ func (s *State) Plan(ops []Op, sch *schema.Schema) (Plan, error) {
 func (s *State) Commit(p Plan, addedOrds []int32) {
 	for _, ord := range p.RemovedOrds {
 		c := s.all[ord]
-		s.dead[ord] = true
+		s.dead.set(int(ord))
 		s.live--
 		delete(s.byID, c.ID)
 		delete(s.byKey, c.Key())
@@ -224,8 +235,10 @@ func (s *State) Commit(p Plan, addedOrds []int32) {
 		if int(ord) != len(s.all) {
 			panic("delta: non-contiguous ordinal assignment")
 		}
+		if len(s.dead) < words(len(s.all)+1) {
+			s.dead = append(s.dead, 0)
+		}
 		s.all = append(s.all, c)
-		s.dead = append(s.dead, false)
 		s.live++
 		s.byID[c.ID] = ord
 		s.byKey[c.Key()] = ord
@@ -237,7 +250,7 @@ func (s *State) Commit(p Plan, addedOrds []int32) {
 // it was built; Constraints materializes the live catalog order on demand.
 type Gen struct {
 	all  constraint.Ordinals
-	dead []bool
+	dead tombs
 	live int
 }
 
@@ -247,7 +260,7 @@ type Gen struct {
 func (s *State) Snapshot() *Gen {
 	return &Gen{
 		all:  constraint.OrdinalsOf(s.all),
-		dead: append([]bool(nil), s.dead...),
+		dead: slices.Clone(s.dead),
 		live: s.live,
 	}
 }
@@ -257,21 +270,26 @@ func (s *State) Snapshot() *Gen {
 // all is aliased (the ordinal space is append-only from here on); dead is
 // copied. A nil dead means every ordinal is live.
 func NewGen(all constraint.Ordinals, dead []bool) *Gen {
-	g := &Gen{all: all, dead: make([]bool, all.Len()), live: all.Len()}
+	g := &Gen{all: all, dead: make(tombs, words(all.Len())), live: all.Len()}
 	for i, d := range dead {
 		if d {
-			g.dead[i] = true
+			g.dead.set(i)
 			g.live--
 		}
 	}
 	return g
 }
 
-// Ordinals exposes the generation's full ordinal space and tombstone set,
-// both aliased — callers must treat them as read-only. Snapshot writers use
-// this to persist tombstones in place rather than compacting them away.
+// Ordinals exposes the generation's full ordinal space, aliased — callers
+// must treat it as read-only — and its tombstone set, one flag per ordinal.
+// Snapshot writers use this to persist tombstones in place rather than
+// compacting them away.
 func (g *Gen) Ordinals() (constraint.Ordinals, []bool) {
-	return g.all, g.dead
+	dead := make([]bool, g.all.Len())
+	for i := range dead {
+		dead[i] = g.dead.has(i)
+	}
+	return g.all, dead
 }
 
 // NewStateFromGen seeds mutation-side bookkeeping from a published
@@ -283,13 +301,13 @@ func (g *Gen) Ordinals() (constraint.Ordinals, []bool) {
 func NewStateFromGen(g *Gen) *State {
 	s := &State{
 		all:   g.all.Slice(),
-		dead:  append([]bool(nil), g.dead...),
+		dead:  slices.Clone(g.dead),
 		live:  g.live,
 		byID:  make(map[string]int32, g.live),
 		byKey: make(map[string]int32, g.live),
 	}
 	for i, c := range s.all {
-		if !s.dead[i] {
+		if !s.dead.has(i) {
 			s.byID[c.ID] = int32(i)
 			s.byKey[c.Key()] = int32(i)
 		}
@@ -301,7 +319,7 @@ func NewStateFromGen(g *Gen) *State {
 func (g *Gen) Live() int { return g.live }
 
 // Dead returns the number of tombstoned ordinals of the generation.
-func (g *Gen) Dead() int { return len(g.dead) - g.live }
+func (g *Gen) Dead() int { return g.all.Len() - g.live }
 
 // Swap walks cs, the catalog a swap asks the engine to serve, against the
 // generation's live constraints in ordinal order. A constraint of cs
@@ -314,8 +332,8 @@ func (g *Gen) Dead() int { return len(g.dead) - g.live }
 // order, as a generation compiled from cs would. The walk is
 // O(live + len(cs)) and builds no map.
 func (g *Gen) Swap(cs []*constraint.Constraint) (ops []Op, kept int) {
-	for ord, dead := range g.dead {
-		if dead {
+	for ord := range g.all.Len() {
+		if g.dead.has(ord) {
 			continue
 		}
 		if c := g.all.At(ord); kept < len(cs) && same(c, cs[kept]) {
@@ -340,8 +358,8 @@ func same(a, b *constraint.Constraint) bool {
 // Constraints returns the generation's live constraints in catalog order.
 func (g *Gen) Constraints() []*constraint.Constraint {
 	out := make([]*constraint.Constraint, 0, g.live)
-	for i, d := range g.dead {
-		if !d {
+	for i := range g.all.Len() {
+		if !g.dead.has(i) {
 			out = append(out, g.all.At(i))
 		}
 	}

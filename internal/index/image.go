@@ -1,17 +1,19 @@
 // Snapshot support: exporting an index to a flat, serializable image and
 // rebuilding an Index from one in O(arrays).
 //
-// Everything an Index holds is already map-free (posting lists, requirement
-// sets, home assignments — all dense arrays), so the image is mostly a CSR
-// flattening of the nested slices. The per-ordinal link sets are not
-// serialized here: the snapshot stores them with the constraints and hands
-// them back at restore. Tombstoned ordinals get empty classIDs rows in the
+// Everything an Index holds is already map-free (posting lists and
+// requirement sets, all dense arrays), so the image is mostly a CSR
+// flattening of the nested slices. Home assignments are derived from the
+// class postings when written, and ignored when read. The per-ordinal link
+// sets are not serialized here: the snapshot stores them with the
+// constraints and hands them back at restore. Tombstoned ordinals get empty classIDs rows in the
 // image even when the source index still carries their stale rows (a
 // patched index never clears them), which is the invariant NewLineage
 // depends on when a restored generation takes its first delta.
 package index
 
 import (
+	"sqo/internal/chunked"
 	"sqo/internal/constraint"
 	"sqo/internal/symtab"
 )
@@ -25,7 +27,7 @@ type Image struct {
 	ClassOffsets []int32 // len NumClasses+1: byClass row boundaries
 	ClassOrds    []int32
 	Parked       []int32
-	HomeOf       []int32
+	HomeOf       []int32 // per ordinal: home ClassID, -1 if none; not read back
 
 	CIDOffsets []int32 // len nOrds+1: classIDs row boundaries
 	CIDs       []symtab.ClassID
@@ -45,18 +47,19 @@ func (ix *Index) Image(dead []bool) *Image {
 	img := &Image{
 		Live:         ix.live,
 		Parked:       ix.parked,
-		HomeOf:       ix.homeOf,
+		HomeOf:       ix.homes(),
 		AttrNonEmpty: ix.attrNonEmpty,
 		MaxPosting:   ix.maxPosting,
 	}
 
-	img.ClassOffsets = make([]int32, len(ix.byClass)+1)
+	byClass := ix.byClass.Flat()
+	img.ClassOffsets = make([]int32, len(byClass)+1)
 	total := 0
-	for _, row := range ix.byClass {
+	for _, row := range byClass {
 		total += len(row)
 	}
 	img.ClassOrds = make([]int32, 0, total)
-	for i, row := range ix.byClass {
+	for i, row := range byClass {
 		img.ClassOrds = append(img.ClassOrds, row...)
 		img.ClassOffsets[i+1] = int32(len(img.ClassOrds))
 	}
@@ -76,14 +79,15 @@ func (ix *Index) Image(dead []bool) *Image {
 		img.CIDOffsets[ord+1] = int32(len(img.CIDs))
 	}
 
-	img.AttrOffsets = make([]int32, len(ix.attrRows)+1)
+	attrRows := ix.attrRows.Flat()
+	img.AttrOffsets = make([]int32, len(attrRows)+1)
 	total = 0
-	for _, row := range ix.attrRows {
+	for _, row := range attrRows {
 		total += len(row)
 	}
 	img.AttrOrds = make([]int32, 0, total)
 	img.AttrPoss = make([]int32, 0, total)
-	for i, row := range ix.attrRows {
+	for i, row := range attrRows {
 		for _, p := range row {
 			img.AttrOrds = append(img.AttrOrds, p.ord)
 			img.AttrPoss = append(img.AttrPoss, p.pos)
@@ -111,18 +115,18 @@ func FromImage(img *Image, all constraint.Ordinals, links [][]string, syms *symt
 		syms:         syms,
 		live:         img.Live,
 		parked:       img.Parked,
-		homeOf:       img.HomeOf,
 		links:        links,
 		attrNonEmpty: img.AttrNonEmpty,
 		maxPosting:   img.MaxPosting,
 	}
 
-	ix.byClass = make([][]int32, len(img.ClassOffsets)-1)
+	byClass := make([][]int32, len(img.ClassOffsets)-1)
 	if !sliceRows(img.ClassOffsets, len(img.ClassOrds), func(i int, a, b int32) {
-		ix.byClass[i] = img.ClassOrds[a:b:b]
+		byClass[i] = img.ClassOrds[a:b:b]
 	}) {
 		return nil, false
 	}
+	ix.byClass = chunked.From(byClass)
 
 	ix.classIDs = make([][]symtab.ClassID, nOrds)
 	if !sliceRows(img.CIDOffsets, len(img.CIDs), func(i int, a, b int32) {
@@ -140,12 +144,13 @@ func FromImage(img *Image, all constraint.Ordinals, links [][]string, syms *symt
 		}
 		arena[k] = attrPosting{ord: ord, pos: pos}
 	}
-	ix.attrRows = make([][]attrPosting, len(img.AttrOffsets)-1)
+	attrRows := make([][]attrPosting, len(img.AttrOffsets)-1)
 	if !sliceRows(img.AttrOffsets, len(arena), func(i int, a, b int32) {
-		ix.attrRows[i] = arena[a:b:b]
+		attrRows[i] = arena[a:b:b]
 	}) {
 		return nil, false
 	}
+	ix.attrRows = chunked.From(attrRows)
 	return ix, true
 }
 

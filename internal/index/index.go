@@ -33,6 +33,7 @@ package index
 import (
 	"slices"
 
+	"sqo/internal/chunked"
 	"sqo/internal/constraint"
 	"sqo/internal/predicate"
 	"sqo/internal/query"
@@ -59,13 +60,9 @@ type Index struct {
 	// byClass maps a home ClassID to the ordinals of the constraints
 	// attached to it, ascending. Each constraint has exactly one home, so a
 	// lookup never sees a candidate twice. parked holds degenerate
-	// constraints without classes, which Relevant always checks. homeOf
-	// records each live ordinal's current home (-1 for parked/tombstoned),
-	// so a patch can move a posting without recomputing historic
-	// frequencies.
-	byClass [][]int32
+	// constraints without classes, which Relevant always checks.
+	byClass chunked.Vec[[]int32]
 	parked  []int32
-	homeOf  []int32
 
 	// classIDs/links per ordinal: the requirement sets verified at lookup.
 	// Interned class IDs make the relevance check integer comparisons.
@@ -75,8 +72,9 @@ type Index struct {
 	// attrRows holds the antecedent occurrences keyed by operand-signature
 	// ordinal (symtab.SigOrdinal), ordered by (constraint ordinal,
 	// antecedent position). attrNonEmpty counts the non-empty rows — the
-	// AttrKeys stat.
-	attrRows     [][]attrPosting
+	// AttrKeys stat. Both spines are chunked, so a patch copies only the
+	// chunks holding the rows it writes.
+	attrRows     chunked.Vec[[]attrPosting]
 	attrNonEmpty int
 
 	maxPosting int
@@ -182,20 +180,18 @@ func BuildWith(all []*constraint.Constraint, syms *symtab.Table) *Index {
 		all:      constraint.OrdinalsOf(all),
 		syms:     syms,
 		live:     len(all),
-		byClass:  make([][]int32, syms.NumClasses()),
-		homeOf:   make([]int32, len(all)),
 		classIDs: make([][]symtab.ClassID, len(all)),
 		links:    make([][]string, len(all)),
-		attrRows: make([][]attrPosting, syms.NumSigs()),
 	}
+	attrRows := make([][]attrPosting, syms.NumSigs())
 	for i := range all {
 		comp := syms.CompiledAt(i)
 		for k, aid := range comp.Ants {
 			sig := syms.SigOrdinal(aid)
-			if len(ix.attrRows[sig]) == 0 {
+			if len(attrRows[sig]) == 0 {
 				ix.attrNonEmpty++
 			}
-			ix.attrRows[sig] = append(ix.attrRows[sig], attrPosting{ord: int32(i), pos: int32(k)})
+			attrRows[sig] = append(attrRows[sig], attrPosting{ord: int32(i), pos: int32(k)})
 		}
 	}
 
@@ -220,13 +216,13 @@ func BuildWith(all []*constraint.Constraint, syms *symtab.Table) *Index {
 
 	// Pass 2: attach each constraint to its rarest referenced class (ties
 	// break lexicographically — Classes() is sorted — for determinism).
+	byClass := make([][]int32, syms.NumClasses())
 	for i := range all {
 		ids := ix.classIDs[i]
 		if len(ids) == 0 {
 			// Degenerate constraint without classes; park it where
 			// Relevant always checks.
 			ix.parked = append(ix.parked, int32(i))
-			ix.homeOf[i] = -1
 			continue
 		}
 		home := ids[0]
@@ -235,9 +231,9 @@ func BuildWith(all []*constraint.Constraint, syms *symtab.Table) *Index {
 				home = id
 			}
 		}
-		ix.homeOf[i] = int32(home)
-		ix.byClass[home] = append(ix.byClass[home], int32(i))
+		byClass[home] = append(byClass[home], int32(i))
 	}
+	ix.byClass, ix.attrRows = chunked.From(byClass), chunked.From(attrRows)
 	ix.maxPosting = ix.computeMaxPosting()
 	return ix
 }
@@ -245,12 +241,25 @@ func BuildWith(all []*constraint.Constraint, syms *symtab.Table) *Index {
 // computeMaxPosting scans the posting-list lengths; O(classes).
 func (ix *Index) computeMaxPosting() int {
 	m := len(ix.parked)
-	for _, post := range ix.byClass {
-		if len(post) > m {
-			m = len(post)
-		}
+	for id := 0; id < ix.byClass.Len(); id++ {
+		m = max(m, len(ix.byClass.At(id)))
 	}
 	return m
+}
+
+// homes returns each ordinal's home ClassID, -1 for a parked or
+// tombstoned ordinal: the inverse of the class postings. O(ordinals).
+func (ix *Index) homes() []int32 {
+	homeOf := make([]int32, ix.all.Len())
+	for ord := range homeOf {
+		homeOf[ord] = -1
+	}
+	for id := 0; id < ix.byClass.Len(); id++ {
+		for _, ord := range ix.byClass.At(id) {
+			homeOf[ord] = int32(id)
+		}
+	}
+	return homeOf
 }
 
 // Symbols returns the compiled symbol space of the indexed generation.
@@ -270,7 +279,7 @@ func (ix *Index) Relevant(q *query.Query) []*constraint.Constraint {
 	var clsBuf [16]symtab.ClassID
 	cls := clsBuf[:0]
 	for _, cl := range q.Classes {
-		if id, ok := ix.syms.ClassID(cl); ok && int(id) < len(ix.byClass) {
+		if id, ok := ix.syms.ClassID(cl); ok && int(id) < ix.byClass.Len() {
 			cls = append(cls, id)
 		}
 		// A class this generation never interned is referenced by none of
@@ -290,7 +299,7 @@ func (ix *Index) Relevant(q *query.Query) []*constraint.Constraint {
 	}
 	collect(ix.parked)
 	for _, id := range cls {
-		collect(ix.byClass[id])
+		collect(ix.byClass.At(int(id)))
 	}
 	if len(ords) == 0 {
 		return nil
@@ -348,10 +357,10 @@ func (ix *Index) RetrievesOnlyRelevant() {}
 // posting row.
 func (ix *Index) AntecedentMatches(p predicate.Predicate) []Match {
 	sig, ok := ix.syms.SigOrdinalOf(p)
-	if !ok || int(sig) >= len(ix.attrRows) {
+	if !ok || int(sig) >= ix.attrRows.Len() {
 		return nil
 	}
-	post := ix.attrRows[sig]
+	post := ix.attrRows.At(int(sig))
 	if len(post) == 0 {
 		return nil
 	}
@@ -374,8 +383,8 @@ type Stats struct {
 // Stats returns the index shape.
 func (ix *Index) Stats() Stats {
 	buckets := 0
-	for _, post := range ix.byClass {
-		if len(post) > 0 {
+	for id := 0; id < ix.byClass.Len(); id++ {
+		if len(ix.byClass.At(id)) > 0 {
 			buckets++
 		}
 	}

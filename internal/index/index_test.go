@@ -75,7 +75,7 @@ func TestRarestClassAssignment(t *testing.T) {
 		if !ok {
 			t.Fatalf("class %q not interned", class)
 		}
-		return len(ix.byClass[id])
+		return len(ix.byClass.At(int(id)))
 	}
 	if got := posting("hot"); got != 2 {
 		t.Errorf(`"hot" posting = %d entries, want 2`, got)

@@ -11,10 +11,11 @@
 //
 // Only the structures the delta touches are rebuilt by copy: the posting
 // lists losing or gaining a member, the attribute-posting rows of the
-// removed/added antecedents, and the top-level spines (slice-header arrays),
-// which cannot be mutated in place while older generations are serving from
-// them. Everything else — the inner posting lists, requirement sets and the
-// shared symbol space backing — is shared with the prior generation.
+// removed/added antecedents, and the chunks of the class and attribute
+// spines holding those rows (older generations keep serving from the
+// originals). Everything else — the other chunks, the inner posting lists,
+// requirement sets and the shared symbol space backing — is shared with
+// the prior generation.
 package index
 
 import (
@@ -26,19 +27,23 @@ import (
 
 // Lineage is the mutation-side bookkeeping of one patched index lineage:
 // per-class reference frequencies and reverse references, which home
-// (re-)assignment needs. It is mutated by Patch under the caller's
-// serialization (the engine's swap lock) and never read while serving.
+// (re-)assignment needs, and each ordinal's current home, so a patch can
+// move a posting without recomputing historic frequencies. It is mutated by
+// Patch under the caller's serialization (the engine's swap lock) and never
+// read while serving.
 type Lineage struct {
-	freq []int     // per ClassID: live constraints referencing it
-	refs [][]int32 // per ClassID: live ordinals referencing it, unordered
+	freq   []int     // per ClassID: live constraints referencing it
+	refs   [][]int32 // per ClassID: live ordinals referencing it, unordered
+	homeOf []int32   // per ordinal: home ClassID; -1 for parked/tombstoned
 }
 
 // NewLineage builds the mutation-side state for ix; O(catalog), paid once
 // when an engine's first incremental update promotes its generation.
 func NewLineage(ix *Index) *Lineage {
 	lin := &Lineage{
-		freq: make([]int, len(ix.byClass)),
-		refs: make([][]int32, len(ix.byClass)),
+		freq:   make([]int, ix.byClass.Len()),
+		refs:   make([][]int32, ix.byClass.Len()),
+		homeOf: ix.homes(),
 	}
 	for ord, ids := range ix.classIDs {
 		for _, id := range ids {
@@ -49,11 +54,15 @@ func NewLineage(ix *Index) *Lineage {
 	return lin
 }
 
-// grow extends the lineage to cover classes interned after construction.
-func (lin *Lineage) grow(classes int) {
+// grow extends the lineage to cover classes interned after construction
+// and ordinals appended after them, which start unhomed.
+func (lin *Lineage) grow(classes, ords int) {
 	for len(lin.freq) < classes {
 		lin.freq = append(lin.freq, 0)
 		lin.refs = append(lin.refs, nil)
+	}
+	for len(lin.homeOf) < ords {
+		lin.homeOf = append(lin.homeOf, -1)
 	}
 }
 
@@ -82,27 +91,24 @@ func (lin *Lineage) dropRef(id symtab.ClassID, ord int32) {
 // re-homed under the updated frequencies (same tie-break: first class in
 // sorted order wins).
 func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added []*constraint.Constraint, addedOrds []int32) *Index {
-	nOrds := ix.all.Len() + len(added)
 	nx := &Index{
 		all:          ix.all,
 		syms:         syms,
 		live:         ix.live - len(removed) + len(added),
-		byClass:      make([][]int32, syms.NumClasses()),
 		parked:       ix.parked,
-		homeOf:       make([]int32, nOrds),
 		classIDs:     ix.classIDs,
 		links:        ix.links,
-		attrRows:     make([][]attrPosting, syms.NumSigs()),
 		attrNonEmpty: ix.attrNonEmpty,
 	}
-	copy(nx.byClass, ix.byClass)
-	copy(nx.homeOf, ix.homeOf)
-	copy(nx.attrRows, ix.attrRows)
-	lin.grow(syms.NumClasses())
+	byClass, attrRows := ix.byClass.Edit(), ix.attrRows.Edit()
+	byClass.Grow(syms.NumClasses() - byClass.Len())
+	attrRows.Grow(syms.NumSigs() - attrRows.Len())
+	lin.grow(syms.NumClasses(), ix.all.Len()+len(added))
 
 	// touched tracks the classes whose reference frequency this delta
 	// changes — the re-homing candidates' classes.
-	var touched []symtab.ClassID
+	var touchedBuf [16]symtab.ClassID
+	touched := touchedBuf[:0]
 	touch := func(id symtab.ClassID) {
 		if !slices.Contains(touched, id) {
 			touched = append(touched, id)
@@ -111,12 +117,12 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 
 	// Removals: unpost from home, drop antecedent postings, release refs.
 	for _, ord := range removed {
-		if home := nx.homeOf[ord]; home >= 0 {
-			nx.byClass[home] = removeSorted(nx.byClass[home], ord)
+		if home := int(lin.homeOf[ord]); home >= 0 {
+			byClass.Set(home, removeSorted(byClass.At(home), ord))
 		} else {
 			nx.parked = removeSorted(nx.parked, ord)
 		}
-		nx.homeOf[ord] = -1
+		lin.homeOf[ord] = -1
 		for _, id := range nx.classIDs[ord] {
 			lin.freq[id]--
 			lin.dropRef(id, ord)
@@ -124,12 +130,14 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 		}
 		comp := syms.CompiledAt(int(ord))
 		for _, aid := range comp.Ants {
-			sig := syms.SigOrdinal(aid)
-			row := removePostings(nx.attrRows[sig], ord)
-			if len(row) == 0 && len(nx.attrRows[sig]) > 0 {
-				nx.attrNonEmpty--
+			sig := int(syms.SigOrdinal(aid))
+			old := attrRows.At(sig)
+			if row := removePostings(old, ord); len(row) != len(old) {
+				if len(row) == 0 {
+					nx.attrNonEmpty--
+				}
+				attrRows.Set(sig, row)
 			}
-			nx.attrRows[sig] = row
 		}
 	}
 
@@ -137,10 +145,9 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 	for i, c := range added {
 		ord := addedOrds[i]
 		nx.all = nx.all.Append(c)
-		cls := c.Classes()
-		ids := make([]symtab.ClassID, len(cls))
-		for k, cl := range cls {
-			id, ok := syms.ClassID(cl)
+		ids := make([]symtab.ClassID, c.NumClasses())
+		for k := range ids {
+			id, ok := syms.ClassID(c.ClassAt(k))
 			if !ok {
 				panic("index: symbol space does not cover constraint " + c.ID)
 			}
@@ -151,20 +158,20 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 		}
 		nx.classIDs = append(nx.classIDs, ids)
 		nx.links = append(nx.links, c.Links)
-		nx.homeOf[ord] = -1 // homed below with every other candidate
 		if len(ids) == 0 {
 			nx.parked = insertSorted(nx.parked, ord)
 		}
 		comp := syms.CompiledAt(int(ord))
 		for k, aid := range comp.Ants {
-			sig := syms.SigOrdinal(aid)
-			if len(nx.attrRows[sig]) == 0 {
+			sig := int(syms.SigOrdinal(aid))
+			row := attrRows.At(sig)
+			if len(row) == 0 {
 				nx.attrNonEmpty++
 			}
 			// New ordinals exceed every posted one, so appending keeps
 			// the (ordinal, position) order; the row is copied because
 			// its backing may be shared with older generations.
-			nx.attrRows[sig] = appendPosting(nx.attrRows[sig], attrPosting{ord: ord, pos: int32(k)})
+			attrRows.Set(sig, appendPosting(row, attrPosting{ord: ord, pos: int32(k)}))
 		}
 	}
 
@@ -181,17 +188,18 @@ func (ix *Index) Patch(lin *Lineage, syms *symtab.Table, removed []int32, added 
 					home = cid
 				}
 			}
-			if int32(home) == nx.homeOf[ord] {
+			if int32(home) == lin.homeOf[ord] {
 				continue
 			}
-			if old := nx.homeOf[ord]; old >= 0 {
-				nx.byClass[old] = removeSorted(nx.byClass[old], ord)
+			if old := int(lin.homeOf[ord]); old >= 0 {
+				byClass.Set(old, removeSorted(byClass.At(old), ord))
 			}
-			nx.homeOf[ord] = int32(home)
-			nx.byClass[home] = insertSorted(nx.byClass[home], ord)
+			lin.homeOf[ord] = int32(home)
+			byClass.Set(int(home), insertSorted(byClass.At(int(home)), ord))
 		}
 	}
 
+	nx.byClass, nx.attrRows = byClass.Done(), attrRows.Done()
 	nx.maxPosting = nx.computeMaxPosting()
 	return nx
 }

@@ -1,9 +1,12 @@
 package index
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
+	"sqo/internal/chunked"
 	"sqo/internal/constraint"
 	"sqo/internal/predicate"
 	"sqo/internal/query"
@@ -129,13 +132,13 @@ func TestPatchRehoming(t *testing.T) {
 	}
 	// freq: a=2 (ab, a1), b=3 (ab, b1, b2) -> ab homes at a.
 	h := newPatchHarness(t, base)
-	if got := h.ix.homeOf[0]; h.ix.syms.ClassName(symtab.ClassID(got)) != "a" {
+	if got := h.lin.homeOf[0]; h.ix.syms.ClassName(symtab.ClassID(got)) != "a" {
 		t.Fatalf("precondition: ab homed at %q, want a", h.ix.syms.ClassName(symtab.ClassID(got)))
 	}
 	// Remove b1 and b2: freq a=2, b=1 -> ab must re-home to b.
 	probes := []*query.Query{query.New("a"), query.New("b"), query.New("a", "b")}
 	h.step([]string{"b1", "b2"}, nil, probes)
-	if got := h.ix.homeOf[0]; h.ix.syms.ClassName(symtab.ClassID(got)) != "b" {
+	if got := h.lin.homeOf[0]; h.ix.syms.ClassName(symtab.ClassID(got)) != "b" {
 		t.Fatalf("ab homed at %q after the delta, want b", h.ix.syms.ClassName(symtab.ClassID(got)))
 	}
 }
@@ -200,5 +203,103 @@ func TestPatchOldGenerationUntouched(t *testing.T) {
 		if c.ID == "r1" {
 			t.Fatal("new generation serves a removed constraint")
 		}
+	}
+}
+
+// TestPatchAcrossChunks patches an index whose class and attribute spines
+// span several chunks about 300 times, each patch removing an early rule
+// and adding one on other classes, so patches rewrite posting rows in
+// chunks every earlier generation still serves from. The newest generation
+// must retrieve what a from-scratch build does, and the first one, read
+// concurrently while the patches run, must keep its Relevant,
+// AntecedentMatches and Stats.
+func TestPatchAcrossChunks(t *testing.T) {
+	const classes, base, added = 600, 1000, 300
+	class := func(i int) string { return fmt.Sprintf("k%03d", i%classes) }
+	rule := func(i int) *constraint.Constraint {
+		return ixRule(fmt.Sprintf("r%d", i), class(i), class(7*i+3), fmt.Sprintf("v%d", i))
+	}
+	var all []*constraint.Constraint
+	for i := 0; i < base; i++ {
+		all = append(all, rule(i))
+	}
+	h := newPatchHarness(t, all)
+	if n := h.syms.NumClasses(); n < 4*chunked.Size {
+		t.Fatalf("%d classes span too few chunks", n)
+	}
+	var probes []*query.Query
+	for i := 0; i < classes; i++ {
+		probes = append(probes, query.New(class(i)), query.New(class(i), class(7*i+3)))
+	}
+
+	// view is what a generation serves: constraint IDs per probe and per
+	// early antecedent, plus its stats.
+	type view struct {
+		relevant, matches [][]string
+		stats             Stats
+	}
+	look := func(ix *Index) view {
+		v := view{stats: ix.Stats()}
+		for _, q := range probes {
+			var ids []string
+			for _, c := range ix.Relevant(q) {
+				ids = append(ids, c.ID)
+			}
+			v.relevant = append(v.relevant, ids)
+		}
+		for _, c := range all[:base] {
+			var ids []string
+			for _, m := range ix.AntecedentMatches(c.Antecedents[0]) {
+				ids = append(ids, fmt.Sprintf("%s/%d/%d", m.Constraint.ID, m.Ordinal, m.AntPos))
+			}
+			v.matches = append(v.matches, ids)
+		}
+		return v
+	}
+	first := h.ix
+	want := look(first)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !reflect.DeepEqual(look(first), want) {
+				t.Error("the first generation's retrieval changed while later patches ran")
+				return
+			}
+		}
+	}()
+	for i := base; i < base+added; i++ {
+		removed := []int32{int32(3 * (i - base))}
+		h.dead[int(removed[0])] = true
+		added := []*constraint.Constraint{rule(i)}
+		newSyms, addedOrds := h.syms.Patch(added)
+		h.ix = h.ix.Patch(h.lin, newSyms, removed, added, addedOrds)
+		h.syms = newSyms
+		h.all = append(h.all, added...)
+	}
+	close(stop)
+	wg.Wait()
+
+	if !reflect.DeepEqual(look(first), want) {
+		t.Fatal("the first generation's retrieval changed after later patches")
+	}
+	var live []*constraint.Constraint
+	for ord, c := range h.all {
+		if !h.dead[ord] {
+			live = append(live, c)
+		}
+	}
+	ref := BuildWith(live, symtab.Compile(nil, live))
+	got, scratch := look(h.ix), look(ref)
+	if !reflect.DeepEqual(got.relevant, scratch.relevant) || got.stats != scratch.stats {
+		t.Fatalf("patched index diverges from a from-scratch build\npatched stats %+v\nscratch stats %+v", got.stats, scratch.stats)
 	}
 }

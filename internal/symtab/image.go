@@ -11,6 +11,7 @@
 package symtab
 
 import (
+	"sqo/internal/chunked"
 	"sqo/internal/frozen"
 	"sqo/internal/predicate"
 )
@@ -83,8 +84,8 @@ func (t *Table) Image(ordKeys []string) *Image {
 		ClassNames: t.classNames,
 		PredSig:    t.predSig,
 		NSigs:      t.nSigs,
-		Fwd:        t.fwd,
-		Rev:        t.rev,
+		Fwd:        t.fwd.Flat(),
+		Rev:        t.rev.Flat(),
 		Preds:      append([]predicate.Predicate(nil), t.preds...), // fresh: the writer appends to it
 		OrdKeys:    ordKeys,
 	}
@@ -179,8 +180,8 @@ func FromImage(img *Image) (*Table, bool) {
 		preds:      img.Preds,
 		predSig:    img.PredSig,
 		nSigs:      img.NSigs,
-		fwd:        img.Fwd,
-		rev:        img.Rev,
+		fwd:        chunked.From(img.Fwd),
+		rev:        chunked.From(img.Rev),
 		base: &base{
 			classes: classes,
 			attrs:   attrs,

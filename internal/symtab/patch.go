@@ -1,6 +1,10 @@
 package symtab
 
 import (
+	"cmp"
+	"slices"
+
+	"sqo/internal/chunked"
 	"sqo/internal/constraint"
 )
 
@@ -23,10 +27,10 @@ import (
 // The first Patch of a lineage starts its overlay empty: the base keeps
 // resolving every symbol it holds, and only the signature-bucket membership
 // is built (O(predicates), once). Every patch then costs O(|added| · bucket)
-// symbol work plus one copy of the implication adjacency spines. The
-// receiver is never mutated and keeps serving concurrently; Patch calls
-// within a lineage must be serialized by the caller (the engine holds its
-// swap lock).
+// symbol work, and its adjacency edit copies only the chunks holding the
+// rows it writes. The receiver is never mutated and keeps serving
+// concurrently; Patch calls within a lineage must be serialized by the
+// caller (the engine holds its swap lock).
 //
 // Patch returns the new table and the ordinals assigned to added, parallel
 // to it. With no additions the receiver itself is returned unchanged.
@@ -53,24 +57,17 @@ func (t *Table) Patch(added []*constraint.Constraint) (*Table, []int32) {
 }
 
 // patchAdjacency extends the catalog-level implication adjacency with the
-// predicates interned after oldPreds. Only the spines and the rows of
-// predicates gaining an edge are copied; every untouched row is shared with
-// the prior generations. Rows stay ascending: a new predicate's ID exceeds
-// every member of its bucket, so appending preserves order.
+// predicates interned after oldPreds. It writes only the new predicates'
+// rows and the rows gaining an edge; the edits copy the chunks holding
+// them, and every other chunk is shared with the prior generations.
 func (t *Table) patchAdjacency(oldPreds int) {
 	newPreds := len(t.preds)
 	if newPreds == oldPreds {
 		return
 	}
-	fwd := make([][]PredID, newPreds)
-	copy(fwd, t.fwd)
-	rev := make([][]PredID, newPreds)
-	copy(rev, t.rev)
-	// ownedFwd/ownedRev mark pre-existing rows already copied during this
-	// patch, so a second edge into the same row appends in place instead
-	// of re-copying the (shared) original.
-	ownedFwd := make(map[PredID]bool)
-	ownedRev := make(map[PredID]bool)
+	// A fresh rule adds about ten edges; the buffers keep them off the heap.
+	var fwdBuf, revBuf [32]edge
+	fwd, rev := fwdBuf[:0], revBuf[:0]
 	for id := oldPreds; id < newPreds; id++ {
 		pid := PredID(id)
 		sig := t.predSig[id]
@@ -79,25 +76,46 @@ func (t *Table) patchAdjacency(oldPreds int) {
 		for _, m := range members {
 			pm := t.preds[m]
 			if p.Implies(pm) {
-				fwd[pid] = append(fwd[pid], m)
-				if int(m) < oldPreds && !ownedRev[m] {
-					rev[m] = append(append([]PredID(nil), rev[m]...), pid)
-					ownedRev[m] = true
-				} else {
-					rev[m] = append(rev[m], pid)
-				}
+				fwd = append(fwd, edge{pid, m})
+				rev = append(rev, edge{m, pid})
 			}
 			if pm.Implies(p) {
-				rev[pid] = append(rev[pid], m)
-				if int(m) < oldPreds && !ownedFwd[m] {
-					fwd[m] = append(append([]PredID(nil), fwd[m]...), pid)
-					ownedFwd[m] = true
-				} else {
-					fwd[m] = append(fwd[m], pid)
-				}
+				rev = append(rev, edge{pid, m})
+				fwd = append(fwd, edge{m, pid})
 			}
 		}
 		t.over.sigMembers[sig] = append(members, pid)
 	}
-	t.fwd, t.rev = fwd, rev
+	t.fwd = addEdges(t.fwd, newPreds, fwd)
+	t.rev = addEdges(t.rev, newPreds, rev)
+}
+
+// edge is one implication edge a patch adds: id joins row's list.
+type edge struct{ row, id PredID }
+
+// addEdges returns adj grown to n rows, with each edge's id appended to its
+// row. Every row it writes is copied into one new array, so a row shared
+// with a prior generation is never written in place. Rows stay ascending:
+// the stable sort keeps each row's edges in the order they were found, in
+// which every id exceeds the row's existing members and the ids before it.
+func addEdges(adj chunked.Vec[[]PredID], n int, edges []edge) chunked.Vec[[]PredID] {
+	e := adj.Edit()
+	e.Grow(n - e.Len())
+	slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(a.row, b.row) })
+	size := len(edges)
+	for i, ed := range edges {
+		if i == 0 || ed.row != edges[i-1].row {
+			size += len(e.At(int(ed.row)))
+		}
+	}
+	rows := make([]PredID, 0, size)
+	for i := 0; i < len(edges); {
+		row, start := edges[i].row, len(rows)
+		rows = append(rows, e.At(int(row))...)
+		for ; i < len(edges) && edges[i].row == row; i++ {
+			rows = append(rows, edges[i].id)
+		}
+		e.Set(int(row), rows[start:len(rows):len(rows)])
+	}
+	return e.Done()
 }

@@ -1,10 +1,13 @@
 package symtab
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"sqo/internal/chunked"
 	"sqo/internal/constraint"
 	"sqo/internal/predicate"
 	"sqo/internal/value"
@@ -249,6 +252,95 @@ func TestSupersededGenerationKeepsOrdinals(t *testing.T) {
 		}
 		if !ok || ord != tc.want {
 			t.Errorf("%s: Ordinal = %d, %v; want %d", tc.name, ord, ok, tc.want)
+		}
+	}
+}
+
+// adjacencyRows copies a table's implication adjacency by PredID.
+func adjacencyRows(tab *Table) (fwd, rev [][]PredID) {
+	for id := PredID(0); int(id) < tab.NumPreds(); id++ {
+		fwd = append(fwd, slices.Clone(tab.Implies(id)))
+		rev = append(rev, slices.Clone(tab.ImpliedBy(id)))
+	}
+	return fwd, rev
+}
+
+// TestPatchAcrossChunks patches a catalog whose adjacency spans many chunks
+// about 300 times. Every added rule shares its signatures with early rules
+// and implies or is implied by their predicates, so each patch writes rows
+// in chunks every earlier generation still serves from. The newest
+// generation must match a from-scratch compile, and the earlier ones,
+// the first read concurrently while the patches run, must keep their own
+// adjacency.
+func TestPatchAcrossChunks(t *testing.T) {
+	const classes, base, added = 8, 1000, 300
+	rule := func(i int, bound int64) *constraint.Constraint {
+		return patchRule(fmt.Sprintf("r%d", i), fmt.Sprintf("c%d", i%classes), fmt.Sprintf("v%d", i), bound)
+	}
+	var all []*constraint.Constraint
+	for i := 0; i < base; i++ {
+		all = append(all, rule(i, int64(10*i)))
+	}
+	cur := Compile(nil, all)
+	if cur.NumPreds() < 8*chunked.Size {
+		t.Fatalf("%d predicates span too few chunks", cur.NumPreds())
+	}
+	type gen struct {
+		tab      *Table
+		fwd, rev [][]PredID
+	}
+	snap := func(tab *Table) gen {
+		fwd, rev := adjacencyRows(tab)
+		return gen{tab, fwd, rev}
+	}
+	gens := []gen{snap(cur)}
+	same := func(g gen) bool {
+		for id := range g.fwd {
+			if !slices.Equal(g.tab.Implies(PredID(id)), g.fwd[id]) ||
+				!slices.Equal(g.tab.ImpliedBy(PredID(id)), g.rev[id]) {
+				return false
+			}
+		}
+		return true
+	}
+
+	first := gens[0]
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !same(first) {
+				t.Error("the first generation's adjacency changed while later patches ran")
+				return
+			}
+		}
+	}()
+	for i := base; i < base+added; i++ {
+		// Fresh bounds between the early ones: new predicates on the
+		// early rules' signatures.
+		c := rule(i, int64(10*(i-base)*3+5))
+		cur, _ = cur.Patch([]*constraint.Constraint{c})
+		all = append(all, c)
+		if i%50 == 0 {
+			gens = append(gens, snap(cur))
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if got, want := adjacencyByKey(cur), adjacencyByKey(Compile(nil, all)); !reflect.DeepEqual(got, want) {
+		t.Fatal("patched implication adjacency diverges from a from-scratch compile")
+	}
+	for i, g := range gens {
+		if !same(g) {
+			t.Errorf("generation %d of %d: adjacency changed by later patches", i, len(gens))
 		}
 	}
 }

@@ -25,6 +25,7 @@ package symtab
 import (
 	"sync"
 
+	"sqo/internal/chunked"
 	"sqo/internal/constraint"
 	"sqo/internal/frozen"
 	"sqo/internal/predicate"
@@ -97,11 +98,12 @@ type Table struct {
 	nSigs   int                   // number of distinct signatures in this generation
 
 	// Implication adjacency among the pooled predicates, computed once per
-	// generation: fwd[i] lists the PredIDs predicate i implies (ascending),
-	// rev is the transpose. Hoisting this off the per-query path is what
-	// lets the transformation table's implication-aware matching run
-	// without a single predicate.Implies call for catalog predicates.
-	fwd, rev [][]PredID
+	// generation: row i of fwd lists the PredIDs predicate i implies
+	// (ascending), rev is the transpose. Hoisting this off the per-query
+	// path is what lets the transformation table's implication-aware
+	// matching run without a single predicate.Implies call for catalog
+	// predicates. Chunked, so a patch copies only the chunks it writes.
+	fwd, rev chunked.Vec[[]PredID]
 
 	compiled []Compiled
 	antsFlat []PredID
@@ -316,8 +318,8 @@ func (t *Table) internPred(p predicate.Predicate) PredID {
 // query served against it.
 func (t *Table) buildAdjacency() {
 	m := len(t.preds)
-	t.fwd = make([][]PredID, m)
-	t.rev = make([][]PredID, m)
+	fwd := make([][]PredID, m)
+	rev := make([][]PredID, m)
 	buckets := make(map[int32][]PredID, t.nSigs)
 	for id := 0; id < m; id++ {
 		sig := t.predSig[id]
@@ -331,16 +333,17 @@ func (t *Table) buildAdjacency() {
 			pi := t.preds[i]
 			for _, j := range ids {
 				if i != j && pi.Implies(t.preds[j]) {
-					t.fwd[i] = append(t.fwd[i], j)
+					fwd[i] = append(fwd[i], j)
 				}
 			}
 		}
 	}
-	for i, list := range t.fwd {
+	for i, list := range fwd {
 		for _, j := range list {
-			t.rev[j] = append(t.rev[j], PredID(i))
+			rev[j] = append(rev[j], PredID(i))
 		}
 	}
+	t.fwd, t.rev = chunked.From(fwd), chunked.From(rev)
 }
 
 // NumClasses returns the number of interned class names.
@@ -436,10 +439,10 @@ func (t *Table) sigOrdinal(k sigKey) (int32, bool) {
 
 // Implies returns the PredIDs that predicate id implies, ascending. The
 // slice aliases the table; treat as read-only.
-func (t *Table) Implies(id PredID) []PredID { return t.fwd[id] }
+func (t *Table) Implies(id PredID) []PredID { return t.fwd.At(int(id)) }
 
 // ImpliedBy returns the PredIDs implying predicate id, ascending.
-func (t *Table) ImpliedBy(id PredID) []PredID { return t.rev[id] }
+func (t *Table) ImpliedBy(id PredID) []PredID { return t.rev.At(int(id)) }
 
 // Ordinal returns the catalog ordinal of a constraint of this generation;
 // ok is false for constraints the generation never held (including those a
